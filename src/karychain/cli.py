@@ -90,10 +90,14 @@ class WorkspaceConfig:
                 defaults = json.loads(config_path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise click.UsageError(f"cannot read {config_path}: {exc}")
+            if not isinstance(defaults, dict):
+                raise click.UsageError(f"{config_path} must hold a JSON object")
+        config_difficulty = _config_int(defaults, "difficulty", MAX_CLI_DIFFICULTY, config_path)
+        config_seed = _config_int(defaults, "seed", 2**64 - 1, config_path)
         if difficulty is None:
-            difficulty = defaults.get("difficulty", 8)
+            difficulty = 8 if config_difficulty is None else config_difficulty
         if seed is None:
-            seed = defaults.get("seed")
+            seed = config_seed
         return cls(
             root=root,
             ledger_path=root / "ledger.jsonl",
@@ -114,6 +118,18 @@ class WorkspaceConfig:
 
     def receipt_store(self) -> ReceiptStore:
         return ReceiptStore(self.receipts_dir)
+
+
+def _config_int(defaults: dict, key: str, upper: int, path: Path) -> int | None:
+    """An optional integer field of config.json, in 0..upper (bools refused)."""
+    if key not in defaults:
+        return None
+    value = defaults[key]
+    if type(value) is not int or not 0 <= value <= upper:
+        raise click.UsageError(
+            f"{path}: {key!r} must be an integer in 0..{upper}, got {value!r}"
+        )
+    return value
 
 
 def _now() -> int:

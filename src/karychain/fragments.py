@@ -24,6 +24,7 @@ import enum
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 from .canonical import (
@@ -137,8 +138,10 @@ class Fragment:
             if len(d) != DIGEST_LEN:
                 raise FragmentError("dep digests must be 32 bytes")
 
-    @property
+    @cached_property
     def slice_digest(self) -> bytes:
+        # Computed once per fragment; the slice is immutable bytes, so the
+        # cached value stays valid and is left out of eq/hash.
         return sha256(self.slice)
 
     def serialize(self) -> bytes:
@@ -201,7 +204,16 @@ def parse_fragment(data: bytes) -> Fragment:
     slice_len = struct.unpack(">I", r.take(4, "slice length"))[0]
     slice_bytes = r.take_declared(slice_len, "slice")
     dep_count = r.take(1, "dep count")[0]
-    deps = tuple(r.take_declared(DIGEST_LEN, f"dep digest {i}") for i in range(dep_count))
+    remaining = len(data) - r.pos
+    try:
+        dep_block = r.take_declared(DIGEST_LEN * dep_count, "dep digests")
+    except LengthOverrunError:
+        short = remaining // DIGEST_LEN
+        raise LengthOverrunError(
+            f"dep digest {short} declares {DIGEST_LEN} bytes but only "
+            f"{remaining - DIGEST_LEN * short} remain"
+        ) from None
+    deps = tuple(dep_block[i : i + DIGEST_LEN] for i in range(0, len(dep_block), DIGEST_LEN))
     if r.pos != len(data):
         raise TrailingDataError(f"{len(data) - r.pos} trailing bytes after fragment")
     return Fragment(

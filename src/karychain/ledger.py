@@ -450,6 +450,10 @@ class Ledger:
             return VerifyResult(False, "chain-link-broken")
         if receipt.anchor_timestamp != block.timestamp:
             return VerifyResult(False, "timestamp-mismatch")
+        # Leaves and inner nodes hash alike, so a path from an inner node also
+        # reaches the root; only digests the block lists were anchored.
+        if digest not in block.tx_digests:
+            return VerifyResult(False, "not-in-block")
         return VerifyResult(True)
 
     def validate_chain(self) -> bool:

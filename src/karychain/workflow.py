@@ -13,10 +13,16 @@ stored chain must audit clean. Only then is the key reconstructed (Neville
 by default, Lagrange as cross-check), the ciphertext reassembled, and the
 payload decrypted and digest-checked.
 
+The gate does work linear in k: it parses each fragment blob once and hands
+the parsed fragments on to key reconstruction and reassembly, and it hashes
+each slice once (`Fragment.slice_digest` is cached), however many other
+fragments embed that slice's digest.
+
 Activation follows the class code: Class I runs actions in index order
 (I_A and I_C re-check dependency digests immediately before each
-activation), Class II holds all activations at a rendezvous barrier so each
-starts before any completes, and refuses outright if a fragment is missing.
+activation, comparing the cached digests of the immutable slices), Class II
+holds all activations at a rendezvous barrier so each starts before any
+completes, and refuses outright if a fragment is missing.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -112,6 +118,8 @@ class FragmentStatus:
     slice_ok: bool
     deps_ok: bool
     consistent: bool
+    # the parsed fragment this status describes, for the later gate stages
+    fragment: Fragment | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -222,7 +230,8 @@ def verify_fragments(
     """Independently check anchoring, slice digest, and dependency digests.
 
     Receipts are keyed by the SHA-256 of the whole serialized fragment.
-    A fragment with no receipt reports anchor_reason "unanchored".
+    A fragment with no receipt reports anchor_reason "unanchored". Each
+    status carries its parsed fragment.
     """
     parsed = [parse_fragment(blob) for blob in fragment_blobs]
     by_index: dict[int, Fragment] = {}
@@ -260,6 +269,7 @@ def verify_fragments(
                 slice_ok=slice_ok,
                 deps_ok=deps_ok,
                 consistent=consistent,
+                fragment=frag,
             )
         )
     return statuses
@@ -269,13 +279,23 @@ def _deps_satisfied(
     frag: Fragment, manifest: PayloadManifest, by_index: Mapping[int, Fragment]
 ) -> bool:
     refs = dep_indices(frag.index, manifest.k, manifest.class_code)
-    if len(frag.dep_digests) != len(refs):
-        return False
+    return len(frag.dep_digests) == len(refs) and _unsatisfied_dep(frag, refs, by_index) is None
+
+
+def _unsatisfied_dep(
+    frag: Fragment, refs: Sequence[int], by_index: Mapping[int, Fragment]
+) -> int | None:
+    """The first referenced index whose slice digest does not match, if any."""
     for dep_digest, ref_index in zip(frag.dep_digests, refs):
         referenced = by_index.get(ref_index)
         if referenced is None or referenced.slice_digest != dep_digest:
-            return False
-    return True
+            return ref_index
+    return None
+
+
+def _parsed(fragments: Sequence[bytes | Fragment]) -> list[Fragment]:
+    """Fragments as given, parsing those still in wire form."""
+    return [f if isinstance(f, Fragment) else parse_fragment(f) for f in fragments]
 
 
 def verify_manifest_anchor(
@@ -296,19 +316,20 @@ def verify_manifest_anchor(
 
 
 def reconstruct_key(
-    fragment_blobs: Sequence[bytes],
+    fragment_blobs: Sequence[bytes | Fragment],
     manifest: PayloadManifest,
     method: str = NEVILLE,
 ) -> bytes:
     """Rebuild the payload key from the shares embedded in the fragments.
 
-    Needs all k fragments under XOR_SPLIT, any `threshold` under SHAMIR.
-    This succeeds independently of slice completeness: the key threshold
-    relaxes only the key, never the data.
+    Takes fragment blobs or already parsed fragments. Needs all k fragments
+    under XOR_SPLIT, any `threshold` under SHAMIR. This succeeds independently
+    of slice completeness: the key threshold relaxes only the key, never the
+    data.
     """
     if method not in (LAGRANGE, NEVILLE):
         raise ValueError(f"unknown reconstruction method {method!r}")
-    parsed = sorted((parse_fragment(b) for b in fragment_blobs), key=lambda f: f.index)
+    parsed = sorted(_parsed(fragment_blobs), key=lambda f: f.index)
     shares = [SecretShare(x=f.share_x, y=f.share_y) for f in parsed]
     if manifest.key_scheme is KeyScheme.XOR_SPLIT:
         if {f.index for f in parsed} != set(range(1, manifest.k + 1)):
@@ -356,8 +377,8 @@ def assemble(
         raise InsufficientSlicesError(
             f"fragments {missing} are missing; every slice is required", indices=missing
         )
-    key = reconstruct_key(fragment_blobs, manifest, method)
-    parsed = sorted((parse_fragment(b) for b in fragment_blobs), key=lambda f: f.index)
+    parsed = sorted((s.fragment for s in statuses), key=lambda f: f.index)
+    key = reconstruct_key(parsed, manifest, method)
     ciphertext = unpartition(
         [f.slice for f in parsed], manifest.partition_strategy, manifest.partition_seed
     )
@@ -370,7 +391,8 @@ def assemble(
     if sha256(payload) != manifest.plaintext_digest:
         raise PlaintextDigestMismatch("recovered payload digest mismatch")
     report = AssemblyReport(
-        fragment_statuses=tuple(statuses),
+        # the report outlives the gate; it does not pin the parsed slices
+        fragment_statuses=tuple(replace(s, fragment=None) for s in statuses),
         manifest_anchored=True,
         key_method=method,
         decryption_ok=True,
@@ -387,18 +409,17 @@ def default_action(fragment: Fragment) -> str:
 
 
 def execute(
-    fragment_blobs: Sequence[bytes],
+    fragment_blobs: Sequence[bytes | Fragment],
     manifest: PayloadManifest,
     actions: Mapping[int, ActionFn] | None = None,
 ) -> list[ActivationEvent]:
     """Run each fragment's benign action under the class's execution rule.
 
-    Returns the activation trace ordered by start tick. Ticks come from one
-    monotonic logical clock, so ordering and overlap are checkable from the
-    trace alone.
+    Takes fragment blobs or already parsed fragments. Returns the activation
+    trace ordered by start tick. Ticks come from one monotonic logical clock,
+    so ordering and overlap are checkable from the trace alone.
     """
-    parsed = [parse_fragment(b) for b in fragment_blobs]
-    by_index = {f.index: f for f in parsed}
+    by_index = {f.index: f for f in _parsed(fragment_blobs)}
     missing = sorted(set(range(1, manifest.k + 1)) - set(by_index))
     if missing:
         raise ExecutionRefused(f"fragments {missing} are missing", indices=missing)
@@ -415,13 +436,12 @@ def _run_action(frag: Fragment, actions: Mapping[int, ActionFn]) -> str | None:
 
 def _check_deps_now(frag: Fragment, manifest: PayloadManifest, by_index: Mapping[int, Fragment]) -> None:
     refs = dep_indices(frag.index, manifest.k, manifest.class_code)
-    for dep_digest, ref_index in zip(frag.dep_digests, refs):
-        referenced = by_index.get(ref_index)
-        if referenced is None or referenced.slice_digest != dep_digest:
-            raise DependencyCheckError(
-                f"fragment {frag.index} dependency on {ref_index} unsatisfied",
-                indices=[frag.index],
-            )
+    ref_index = _unsatisfied_dep(frag, refs, by_index)
+    if ref_index is not None:
+        raise DependencyCheckError(
+            f"fragment {frag.index} dependency on {ref_index} unsatisfied",
+            indices=[frag.index],
+        )
 
 
 def _execute_sequential(

@@ -210,6 +210,38 @@ class TestExitCodes:
         assert res.exit_code == 1
 
 
+class TestWorkspaceConfig:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"difficulty": "8"}', '{"difficulty": true}', "[]", '{"seed": "x"}',
+         '{"difficulty": 33}', '{"seed": -1}'],
+    )
+    def test_malformed_config_is_usage_error(self, runner, tmp_path, text):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "config.json").write_text(text)
+        res = runner.invoke(main, ["--workspace", str(root), "ledger", "show"])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "config.json" in res.output
+
+    def test_config_values_used_and_flags_win(self, runner, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "config.json").write_text('{"difficulty": 3, "seed": 5}')
+        res = runner.invoke(main, ["--workspace", str(root), "ledger", "show"])
+        assert res.exit_code == 0, res.output
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        env = {"KARY_TIMESTAMP": "1700000000"}
+        res = runner.invoke(main, ["--workspace", str(root), "--difficulty", "1", "anchor",
+                                   str(payload_path)], env=env)
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["--workspace", str(root), "--difficulty", "1", "mine"], env=env)
+        assert res.exit_code == 0, res.output
+        assert '"difficulty":1' in (root / "ledger.jsonl").read_text().splitlines()[-1]
+
+
 class TestDeterminism:
     def test_identical_seed_and_timestamp_reproduce_bytes(self, runner, tmp_path):
         env = {"KARY_TIMESTAMP": "1700000000"}

@@ -197,6 +197,23 @@ class TestWireFormat:
         with pytest.raises(LengthOverrunError):
             parse_fragment(blob[: 9 + 4 + 2])
 
+    def test_dep_block_overrun_names_first_short_digest(self, rng):
+        frag = Fragment(
+            1, 4, ClassCode.I_A, 1, b"s", b"body", tuple(rng.randbytes(32) for _ in range(3))
+        )
+        blob = frag.serialize()
+        # keep the first digest and 10 bytes of the second
+        with pytest.raises(LengthOverrunError, match="dep digest 1 declares 32 bytes but only 10"):
+            parse_fragment(blob[: len(blob) - 64 + 10])
+        assert parse_fragment(blob).dep_digests == frag.dep_digests
+
+    def test_cached_slice_digest_stays_out_of_equality(self, rng):
+        blob = Fragment(2, 3, ClassCode.I_C, 2, b"s", rng.randbytes(20), (bytes(32),)).serialize()
+        warm, cold = parse_fragment(blob), parse_fragment(blob)
+        assert warm.slice_digest == sha256(warm.slice)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert "slice_digest" not in repr(warm)
+
     def test_trailing_garbage_rejected(self):
         blob = Fragment(1, 1, ClassCode.I_B, 1, b"s", b"body").serialize()
         with pytest.raises(TrailingDataError):

@@ -271,6 +271,28 @@ class TestVerifyReceipt:
         )
         assert ledger.verify_receipt(digests[0], forged).reason == "no-such-block"
 
+    def test_inner_node_receipt_refused(self):
+        ledger = Ledger(difficulty=4)
+        d = leaves(4)
+        for digest in d:
+            ledger.submit_anchor(digest)
+        block, receipts = ledger.mine_block(now=99)
+        inner = h(d[0] + d[1])
+        r = receipts[0]
+        forged = AnchorReceipt(
+            target_digest=inner,
+            block_height=r.block_height,
+            block_hash=r.block_hash,
+            merkle_root=r.merkle_root,
+            merkle_path=((h(d[2] + d[3]), "RIGHT"),),
+            anchor_timestamp=r.anchor_timestamp,
+        )
+        assert apply_merkle_path(inner, forged.merkle_path) == block.merkle_root
+        result = ledger.verify_receipt(inner, forged)
+        assert not result
+        assert result.reason == "not-in-block"
+        assert all(ledger.verify_receipt(x, y) for x, y in zip(d, receipts))
+
     def test_forged_pairs_never_verify(self, rng):
         ledger, digests, receipts = self._setup()
         for _ in range(10000):

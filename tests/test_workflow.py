@@ -1,10 +1,13 @@
 """Producer/consumer workflow tests: gating, assembly, and activation."""
 
 import random
+from collections import Counter
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from karychain import fragments as fragments_module
+from karychain import workflow as workflow_module
 from karychain.fragments import (
     ClassCode,
     FragmentError,
@@ -12,6 +15,7 @@ from karychain.fragments import (
     PartitionStrategy,
     parse_fragment,
     sha256,
+    unpartition,
 )
 from karychain.ledger import Ledger
 from karychain.workflow import (
@@ -317,3 +321,89 @@ class TestDeterminism:
                 )
             )
         assert runs[0] == runs[1]
+
+
+class TestGateWork:
+    """The gate's work is linear in k: one parse per blob, one hash per slice."""
+
+    PAYLOAD = random.Random(7).randbytes(64 << 10)
+
+    @pytest.fixture
+    def env(self):
+        return anchored_env(
+            payload=self.PAYLOAD, k=16, t=16, class_code=ClassCode.I_A,
+            strategy=PartitionStrategy.INTERLEAVE,
+        )
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Record every blob parsed and every input hashed by the gate."""
+        seen = {"parsed": Counter(), "hashed": []}
+        parse, digest = workflow_module.parse_fragment, fragments_module.sha256
+
+        def counting_parse(blob):
+            seen["parsed"][blob] += 1
+            return parse(blob)
+
+        def counting_sha256(data):
+            seen["hashed"].append(bytes(data))
+            return digest(data)
+
+        monkeypatch.setattr(workflow_module, "parse_fragment", counting_parse)
+        monkeypatch.setattr(workflow_module, "sha256", counting_sha256)
+        monkeypatch.setattr(fragments_module, "sha256", counting_sha256)
+        return seen
+
+    def test_assemble_parses_each_blob_once(self, env, counted):
+        manifest, frags, receipts, ledger = env
+        payload, _ = assemble(frags, manifest, receipts, ledger)
+        assert payload == self.PAYLOAD
+        assert counted["parsed"] == Counter(frags)
+
+    def test_assemble_hashes_about_four_times_the_payload(self, env, counted):
+        manifest, frags, receipts, ledger = env
+        assemble(frags, manifest, receipts, ledger)
+        ciphertext_len = len(self.PAYLOAD) + 16
+        slices = [parse_fragment(b).slice for b in frags]
+        headers = sum(len(b) - len(s) for b, s in zip(frags, slices))
+        # blobs, slices, ciphertext and plaintext, plus the manifest's own digest
+        bound = 4 * ciphertext_len + headers + len(manifest.canonical_bytes())
+        assert sum(map(len, counted["hashed"])) <= bound
+        assert Counter(counted["hashed"]) & Counter(slices) == Counter(slices)
+
+    def test_execute_hashes_each_slice_once(self, env, counted):
+        manifest, frags, receipts, ledger = env
+        execute(frags, manifest)
+        assert Counter(counted["hashed"]) == Counter(parse_fragment(b).slice for b in frags)
+
+    def test_execute_on_verified_fragments_needs_no_parse_or_hash(self, env, counted):
+        manifest, frags, receipts, ledger = env
+        statuses = verify_fragments(frags, manifest, receipts, ledger)
+        counted["parsed"].clear()
+        counted["hashed"].clear()
+        trace = execute([s.fragment for s in statuses], manifest)
+        assert [e.index for e in trace] == list(range(1, 17))
+        assert not counted["parsed"] and not counted["hashed"]
+
+    def test_report_does_not_pin_slices(self, env):
+        manifest, frags, receipts, ledger = env
+        _, report = assemble(frags, manifest, receipts, ledger)
+        assert all(s.fragment is None for s in report.fragment_statuses)
+
+    def test_blob_and_parsed_inputs_agree(self, env):
+        manifest, frags, receipts, ledger = env
+        parsed = [parse_fragment(b) for b in frags]
+        statuses = verify_fragments(frags, manifest, receipts, ledger)
+        assert all(s.ok for s in statuses)
+        assert [s.fragment for s in statuses] == parsed
+        assert [s.to_json_dict() for s in statuses] == [
+            {"index": i, "anchored": True, "anchor_reason": None, "slice_ok": True,
+             "deps_ok": True, "consistent": True, "ok": True}
+            for i in range(1, 17)
+        ]
+        key = reconstruct_key(frags, manifest)
+        assert key == reconstruct_key(parsed, manifest)
+        assert key == reconstruct_key(list(reversed(parsed)), manifest, LAGRANGE)
+        ciphertext = unpartition([f.slice for f in parsed], PartitionStrategy.INTERLEAVE)
+        assert ChaCha20Poly1305(key).decrypt(manifest.nonce, ciphertext, None) == self.PAYLOAD
+        assert execute(frags, manifest) == execute(parsed, manifest)
