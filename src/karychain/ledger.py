@@ -337,6 +337,8 @@ class Ledger:
         self._lock = threading.Lock()
         self._blocks: list[Block] = []
         self._pending: list[bytes] = []
+        # tip block and tip hash of the last clean audit
+        self._audited: tuple[Block, bytes] | None = None
         if self.path is not None and self.path.exists():
             self._blocks = list(_load_chain_file(self.path))
             if not self._blocks:
@@ -457,28 +459,37 @@ class Ledger:
         return VerifyResult(True)
 
     def validate_chain(self) -> bool:
-        """Audit every stored block: invariants, heights, and hash links."""
+        """Audit the stored blocks: invariants, heights, and hash links.
+
+        A clean audit remembers its tip block and tip hash. While that block
+        is still stored at its height, later calls audit only the blocks
+        appended since; otherwise they audit the whole chain. The whole
+        block is compared, not its hash: the header does not cover the
+        tx list.
+        """
         with self._lock:
             blocks = list(self._blocks)
+            audited = self._audited
         if not blocks:
             return False
-        genesis = blocks[0]
-        if (
-            genesis.height != 0
-            or genesis.prev_hash != ZERO32
-            or genesis.tx_digests
-            or genesis.merkle_root != ZERO32
-        ):
+        start, prev = 0, ZERO32
+        if audited is not None:
+            tip, tip_hash = audited
+            if tip.height < len(blocks) and blocks[tip.height] == tip:
+                start, prev = tip.height + 1, tip_hash
+        if start == 0 and (blocks[0].tx_digests or blocks[0].merkle_root != ZERO32):
             return False
-        for i, block in enumerate(blocks):
-            if block.height != i:
+        for i in range(start, len(blocks)):
+            block = blocks[i]
+            if block.height != i or block.prev_hash != prev:
                 return False
             if block.merkle_root != merkle_root_of(block.tx_digests):
                 return False
-            if not meets_difficulty(block_hash(block), block.difficulty):
+            prev = block_hash(block)
+            if not meets_difficulty(prev, block.difficulty):
                 return False
-            if i > 0 and block.prev_hash != block_hash(blocks[i - 1]):
-                return False
+        with self._lock:
+            self._audited = (blocks[-1], prev)
         return True
 
     def _write_pending_locked(self) -> None:

@@ -101,9 +101,8 @@ def split_secret_shamir(
     if t > 1:
         raw = rng.randbytes(length * (t - 1))
         coeffs[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(length, t - 1)
-    return [
-        SecretShare(x=x, y=gf256.eval_polys(coeffs, x).tobytes()) for x in range(1, n + 1)
-    ]
+    ys = gf256.eval_polys(coeffs, np.arange(1, n + 1))
+    return [SecretShare(x=x, y=y.tobytes()) for x, y in enumerate(ys, start=1)]
 
 
 def _share_matrix(shares: list[SecretShare]) -> tuple[np.ndarray, np.ndarray]:

@@ -2,14 +2,6 @@ import random
 
 import pytest
 
-from karychain import gf256
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens once here so individual tests time only their work.
-    gf256.warmup()
-
 
 @pytest.fixture
 def rng():

@@ -1,10 +1,15 @@
 """Field arithmetic checks against an independent shift-and-reduce oracle."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from karychain import gf256
+from karychain.fragments import ClassCode, KeyScheme, PartitionStrategy
+from karychain.workflow import produce
 
 
 def peasant_mul(a: int, b: int) -> int:
@@ -70,16 +75,51 @@ def test_mul_is_commutative_and_distributive(a, b, c):
     assert left == right
 
 
+# Reference kernels: one field operation at a time, in plain loops.
+
+
+def ref_eval(coeffs: np.ndarray, x: int) -> np.ndarray:
+    acc = coeffs[:, -1].copy()
+    for m in range(coeffs.shape[1] - 2, -1, -1):
+        acc = gf256._MUL[acc, x] ^ coeffs[:, m]
+    return acc
+
+
+def ref_lagrange(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    out = np.zeros(ys.shape[1], dtype=np.uint8)
+    for i in range(len(xs)):
+        w = 1
+        for j in range(len(xs)):
+            if j != i:
+                w = gf256._MUL[gf256._MUL[w, xs[j]], gf256._INV[xs[i] ^ xs[j]]]
+        out ^= gf256._MUL[w, ys[i]]
+    return out
+
+
+def ref_neville(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    p = ys.copy()
+    npts = len(xs)
+    for span in range(1, npts):
+        for i in range(npts - span):
+            num = gf256._MUL[xs[i + span], p[i]] ^ gf256._MUL[xs[i], p[i + 1]]
+            p[i] = gf256._MUL[num, gf256._INV[xs[i] ^ xs[i + span]]]
+    return p[0]
+
+
 def _random_instance(rng, npts, rows):
     xs = np.array(rng.sample(range(1, 256), npts), dtype=np.uint8)
     ys = np.frombuffer(rng.randbytes(npts * rows), dtype=np.uint8).reshape(npts, rows).copy()
     return xs, ys
 
 
+def _random_coeffs(rng, rows, ncoef):
+    return np.frombuffer(rng.randbytes(rows * ncoef), dtype=np.uint8).reshape(rows, ncoef).copy()
+
+
 def test_numpy_horner_matches_scalar_eval(rng):
-    coeffs = np.frombuffer(rng.randbytes(5 * 7), dtype=np.uint8).reshape(5, 7).copy()
+    coeffs = _random_coeffs(rng, 5, 7)
     for x in (0, 1, 2, 77, 255):
-        got = gf256.eval_polys_numpy(coeffs, x)
+        got = gf256.eval_polys(coeffs, x)
         for row in range(5):
             acc = 0
             for power, c in enumerate(coeffs[row]):
@@ -90,37 +130,49 @@ def test_numpy_horner_matches_scalar_eval(rng):
             assert got[row] == acc
 
 
-def test_interpolators_agree_between_backends(rng):
-    if gf256.lagrange_zero_jit is None:
-        pytest.skip("numba backend unavailable")
-    for _ in range(50):
-        npts = rng.randint(1, 10)
-        rows = rng.randint(1, 40)
-        xs, ys = _random_instance(rng, npts, rows)
-        lag_np = gf256.lagrange_zero_numpy(xs, ys.copy())
-        lag_nb = gf256.lagrange_zero_jit(xs, ys.copy())
-        nev_np = gf256.neville_zero_numpy(xs, ys.copy())
-        nev_nb = gf256.neville_zero_jit(xs, ys.copy())
-        assert np.array_equal(lag_np, lag_nb)
-        assert np.array_equal(nev_np, nev_nb)
-        assert np.array_equal(lag_np, nev_np)
+@pytest.mark.parametrize("with_zero", [False, True], ids=["nonzero", "with-zero"])
+def test_interpolators_match_reference_loops(rng, with_zero):
+    # Sizes up to 255 points; an abscissa of 0 returns that point's ordinate.
+    for npts in [1, 2, 3, 8, 255] + [rng.randint(1, 64) for _ in range(30)]:
+        xs, ys = _random_instance(rng, npts, rng.randint(1, 33))
+        if with_zero:
+            zero = rng.randrange(npts)
+            xs[zero] = 0
+        lag = gf256.lagrange_zero(xs, ys)
+        nev = gf256.neville_zero(xs, ys)
+        assert np.array_equal(lag, ref_lagrange(xs, ys)), npts
+        assert np.array_equal(nev, ref_neville(xs, ys)), npts
+        assert np.array_equal(lag, nev), npts
+        if with_zero:
+            assert np.array_equal(lag, ys[zero])
 
 
-def test_eval_agrees_between_backends(rng):
-    if gf256.eval_polys_jit is None:
-        pytest.skip("numba backend unavailable")
+def test_kernels_leave_inputs_untouched(rng):
+    xs, ys = _random_instance(rng, 9, 5)
+    before = ys.copy()
+    gf256.lagrange_zero(xs, ys)
+    gf256.neville_zero(xs, ys)
+    assert np.array_equal(ys, before)
+
+
+def test_eval_matches_reference_loops(rng):
     for _ in range(50):
-        rows = rng.randint(1, 40)
-        ncoef = rng.randint(1, 9)
-        coeffs = (
-            np.frombuffer(rng.randbytes(rows * ncoef), dtype=np.uint8)
-            .reshape(rows, ncoef)
-            .copy()
-        )
+        coeffs = _random_coeffs(rng, rng.randint(1, 40), rng.randint(1, 129))
         x = rng.randint(0, 255)
-        assert np.array_equal(
-            gf256.eval_polys_numpy(coeffs, x), gf256.eval_polys_jit(coeffs, x)
-        )
+        assert np.array_equal(gf256.eval_polys(coeffs, x), ref_eval(coeffs, x))
+
+
+def test_eval_at_array_equals_scalar_calls(rng):
+    for ncoef in (1, 2, 8, 128):
+        coeffs = _random_coeffs(rng, 32, ncoef)
+        points = np.arange(256)
+        got = gf256.eval_polys(coeffs, points)
+        assert got.shape == (256, 32)
+        for x in points:
+            assert np.array_equal(got[x], gf256.eval_polys(coeffs, int(x)))
+    coeffs = _random_coeffs(rng, 3, 4)
+    assert gf256.eval_polys(coeffs, np.arange(0)).shape == (0, 3)
+    assert gf256.eval_polys(coeffs, 5).shape == (3,)
 
 
 def test_interpolation_inverts_evaluation(rng):
@@ -137,3 +189,32 @@ def test_interpolation_inverts_evaluation(rng):
         ys = np.stack([gf256.eval_polys(coeffs, int(x)) for x in xs])
         assert np.array_equal(gf256.lagrange_zero(xs, ys), coeffs[:, 0])
         assert np.array_equal(gf256.neville_zero(xs, ys), coeffs[:, 0])
+
+
+# SHA-256 over the manifest's canonical bytes, then each blob's SHA-256, from
+# the per-point Horner loop that `split_secret_shamir` used before the
+# array-point `eval_polys`.
+PRODUCE_GOLDEN = {
+    4: "f5144dc72fc946e40078d3284fb4b63d77a566819641457749fda4bb56dccaf2",
+    16: "4122050f4b6d627b30f8d9134736693a440774075ab33a77585e7d7f6a913f7a",
+    255: "fde0488d2b00b876cd4db8896c22610683e409efc1e06c1bbed5aba876f063ff",
+}
+
+
+@pytest.mark.parametrize(
+    "k,t,class_code,strategy",
+    [
+        (4, 3, ClassCode.I_A, PartitionStrategy.INTERLEAVE),
+        (16, 9, ClassCode.I_C, PartitionStrategy.CONTIGUOUS),
+        (255, 128, ClassCode.I_A, PartitionStrategy.INTERLEAVE),
+    ],
+)
+def test_seeded_produce_is_unchanged(k, t, class_code, strategy):
+    manifest, blobs = produce(
+        bytes(range(256)) * 40, k, t, class_code, KeyScheme.SHAMIR, strategy,
+        rng=random.Random(1000 + k), partition_seed=7,
+    )
+    h = hashlib.sha256(manifest.canonical_bytes())
+    for blob in blobs:
+        h.update(hashlib.sha256(blob).digest())
+    assert h.hexdigest() == PRODUCE_GOLDEN[k]

@@ -1,8 +1,11 @@
 """Merkle tree, proof-of-work chain, receipts, and persistence tests."""
 
+import dataclasses
 import hashlib
 
 import pytest
+
+from karychain import ledger as ledger_module
 
 from karychain.canonical import CanonicalJsonError
 from karychain.ledger import (
@@ -338,6 +341,70 @@ class TestValidateChain:
             ledger.mine_block(now=i)
         assert ledger.validate_chain()
         assert [b.height for b in ledger.blocks] == [0, 1, 2, 3, 4, 5]
+
+
+class TestRememberedAudit:
+    """A clean audit is remembered; later audits cover only appended blocks."""
+
+    @pytest.fixture
+    def audited(self, monkeypatch):
+        calls = []
+        root = ledger_module.merkle_root_of
+
+        def counting(leaves):
+            calls.append(len(leaves))
+            return root(leaves)
+
+        monkeypatch.setattr(ledger_module, "merkle_root_of", counting)
+        return calls
+
+    @staticmethod
+    def mined(rng, blocks, path=None):
+        ledger = Ledger(path=path, difficulty=4)
+        for i in range(blocks):
+            ledger.submit_anchor(rng.randbytes(32))
+            ledger.mine_block(now=i)
+        return ledger
+
+    def test_next_audit_covers_only_the_new_block(self, rng, audited):
+        ledger = self.mined(rng, 4)
+        audited.clear()
+        assert ledger.validate_chain()
+        assert len(audited) == 5
+        ledger.submit_anchor(rng.randbytes(32))
+        ledger.mine_block(now=9)
+        audited.clear()
+        assert ledger.validate_chain()
+        assert audited == [1]
+        audited.clear()
+        assert ledger.validate_chain()
+        assert audited == []
+
+    # A forged tx list leaves the header, and so the tip hash, unchanged.
+    @pytest.mark.parametrize("field", ["tx_digests", "merkle_root"])
+    def test_replaced_tip_forces_full_audit(self, rng, audited, field):
+        ledger = self.mined(rng, 4)
+        assert ledger.validate_chain()
+        tip = ledger._blocks[-1]
+        forged = (h(b"forged"),) if field == "tx_digests" else h(b"forged")
+        ledger._blocks[-1] = dataclasses.replace(tip, **{field: forged})
+        audited.clear()
+        assert not ledger.validate_chain()
+        assert len(audited) == len(ledger._blocks)
+        # the failed audit is not remembered
+        audited.clear()
+        assert not ledger.validate_chain()
+        assert len(audited) == len(ledger._blocks)
+
+    def test_reopened_tampered_file_fails_first_audit(self, tmp_path, rng):
+        path = tmp_path / "chain.jsonl"
+        ledger = self.mined(rng, 3, path=path)
+        assert ledger.validate_chain()
+        lines = path.read_text(encoding="ascii").split("\n")
+        lines[1] = lines[1].replace('"timestamp":0', '"timestamp":7')
+        path.write_text("\n".join(lines), encoding="ascii")
+        assert not Ledger(path=path, difficulty=4).validate_chain()
+        assert ledger.validate_chain()
 
 
 class TestPersistence:
