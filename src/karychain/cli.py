@@ -178,6 +178,9 @@ def _open_ledger(cfg: WorkspaceConfig) -> Ledger:
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
         raise AssertionError("unreachable")
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot open the ledger: {exc}")
+        raise AssertionError("unreachable")
 
 
 def _gather_receipts(

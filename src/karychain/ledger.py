@@ -37,7 +37,10 @@ from .canonical import (
 
 DIGEST_LEN = 32
 ZERO32 = bytes(32)
-BLOCK_HEADER_LEN = 89
+# height, prev_hash, merkle_root, timestamp, difficulty, nonce
+_HEADER = struct.Struct(">Q32s32sQBQ")
+_NONCE = struct.Struct(">Q")
+BLOCK_HEADER_LEN = _HEADER.size
 SIDE_LEFT = "LEFT"
 SIDE_RIGHT = "RIGHT"
 
@@ -67,19 +70,40 @@ def _check_digest(digest: bytes, what: str = "digest") -> None:
 # Merkle tree
 
 
-def merkle_root_of(leaves: Sequence[bytes]) -> bytes:
-    """Root over the leaf digests; empty input roots to 32 zero bytes."""
-    if not leaves:
-        return ZERO32
+def _merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
+    """Every level of the tree, leaves first; a non-empty tree ends at its root."""
     level = list(leaves)
+    levels = [level]
     while len(level) > 1:
+        # an append loop: a comprehension costs more on the small trees the
+        # chain audit hashes once per block
         nxt = []
         for i in range(0, len(level) - 1, 2):
             nxt.append(sha256(level[i] + level[i + 1]))
         if len(level) % 2 == 1:
             nxt.append(level[-1])
+        levels.append(nxt)
         level = nxt
-    return level[0]
+    return levels
+
+
+def _path_in(levels: list[list[bytes]], index: int) -> list[tuple[bytes, str]]:
+    path: list[tuple[bytes, str]] = []
+    for level in levels[:-1]:
+        if index % 2 == 0:
+            if index + 1 < len(level):
+                path.append((level[index + 1], SIDE_RIGHT))
+        else:
+            path.append((level[index - 1], SIDE_LEFT))
+        index //= 2
+    return path
+
+
+def merkle_root_of(leaves: Sequence[bytes]) -> bytes:
+    """Root over the leaf digests; empty input roots to 32 zero bytes."""
+    if not leaves:
+        return ZERO32
+    return _merkle_levels(leaves)[-1][0]
 
 
 def merkle_path_of(leaves: Sequence[bytes], index: int) -> list[tuple[bytes, str]]:
@@ -90,23 +114,7 @@ def merkle_path_of(leaves: Sequence[bytes], index: int) -> list[tuple[bytes, str
     """
     if not 0 <= index < len(leaves):
         raise ValueError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    path: list[tuple[bytes, str]] = []
-    level = list(leaves)
-    pos = index
-    while len(level) > 1:
-        if pos % 2 == 0:
-            if pos + 1 < len(level):
-                path.append((level[pos + 1], SIDE_RIGHT))
-        else:
-            path.append((level[pos - 1], SIDE_LEFT))
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(sha256(level[i] + level[i + 1]))
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-        pos //= 2
-    return path
+    return _path_in(_merkle_levels(leaves), index)
 
 
 def apply_merkle_path(leaf: bytes, path: Sequence[tuple[bytes, str]]) -> bytes:
@@ -150,9 +158,14 @@ class Block:
             _check_digest(d, "tx digest")
 
     def header(self) -> bytes:
-        head = struct.pack(">Q", self.height)
-        tail = struct.pack(">QBQ", self.timestamp, self.difficulty, self.nonce)
-        return head + self.prev_hash + self.merkle_root + tail
+        return _HEADER.pack(
+            self.height,
+            self.prev_hash,
+            self.merkle_root,
+            self.timestamp,
+            self.difficulty,
+            self.nonce,
+        )
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -214,6 +227,27 @@ def leading_zero_bits(digest: bytes) -> int:
 
 def meets_difficulty(digest: bytes, difficulty: int) -> bool:
     return leading_zero_bits(digest) >= difficulty
+
+
+def _first_nonce(prefix: bytes, difficulty: int) -> tuple[int, bytes]:
+    """The smallest nonce, and its block hash, whose header meets `difficulty`.
+
+    `prefix` is the header without its trailing nonce, and is hashed once;
+    each attempt copies that SHA-256 state, feeds it the 8 nonce bytes and
+    hashes the result again. A hash has at least `difficulty` leading zero
+    bits exactly when it is below the target.
+    """
+    midstate = hashlib.sha256(prefix)
+    copy, pack, sha, from_bytes = midstate.copy, _NONCE.pack, hashlib.sha256, int.from_bytes
+    target = 1 << (256 - difficulty)
+    nonce = 0
+    while True:
+        inner = copy()
+        inner.update(pack(nonce))
+        digest = sha(inner.digest()).digest()
+        if from_bytes(digest, "big") < target:
+            return nonce, digest
+        nonce += 1
 
 
 @dataclass(frozen=True)
@@ -336,7 +370,8 @@ class Ledger:
         self.pending_path = Path(pending_path) if pending_path is not None else None
         self._lock = threading.Lock()
         self._blocks: list[Block] = []
-        self._pending: list[bytes] = []
+        # insertion-ordered, so membership is O(1) and the order is kept
+        self._pending: dict[bytes, None] = {}
         # tip block and tip hash of the last clean audit
         self._audited: tuple[Block, bytes] | None = None
         if self.path is not None and self.path.exists():
@@ -372,7 +407,7 @@ class Ledger:
         with self._lock:
             if digest in self._pending:
                 raise DuplicatePendingError(f"digest {digest.hex()} is already pending")
-            self._pending.append(digest)
+            self._pending[digest] = None
             position = len(self._pending) - 1
             self._write_pending_locked()
         return position
@@ -386,30 +421,19 @@ class Ledger:
                 raise EmptyPoolError("no pending digests to mine")
             txs = tuple(self._pending)
             tip = self._blocks[-1]
-            root = merkle_root_of(txs)
-            prev = block_hash(tip)
-            nonce = 0
-            while True:
-                block = Block(
-                    height=tip.height + 1,
-                    prev_hash=prev,
-                    merkle_root=root,
-                    timestamp=now,
-                    difficulty=self.difficulty,
-                    nonce=nonce,
-                    tx_digests=txs,
-                )
-                bh = block_hash(block)
-                if meets_difficulty(bh, self.difficulty):
-                    break
-                nonce += 1
+            levels = _merkle_levels(txs)
+            root = levels[-1][0] if txs else ZERO32
+            fields = (tip.height + 1, block_hash(tip), root, now, self.difficulty)
+            prefix = _HEADER.pack(*fields, 0)[: -_NONCE.size]
+            nonce, bh = _first_nonce(prefix, self.difficulty)
+            block = Block(*fields, nonce=nonce, tx_digests=txs)
             receipts = [
                 AnchorReceipt(
                     target_digest=d,
                     block_height=block.height,
                     block_hash=bh,
                     merkle_root=root,
-                    merkle_path=tuple(merkle_path_of(txs, i)),
+                    merkle_path=tuple(_path_in(levels, i)),
                     anchor_timestamp=now,
                 )
                 for i, d in enumerate(txs)
@@ -520,15 +544,22 @@ def _load_chain_file(path: Path) -> Iterator[Block]:
             raise LedgerError(f"ledger line {lineno}: {exc}") from exc
 
 
-def _load_pending_file(path: Path) -> list[bytes]:
-    obj = canonical_loads_strict(path.read_text(encoding="ascii"))
+def _load_pending_file(path: Path) -> dict[bytes, None]:
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise LedgerError(f"pending pool file is not ASCII: {exc}") from exc
+    obj = canonical_loads_strict(text)
     if not isinstance(obj, list):
         raise LedgerError("pending pool file must hold a JSON list")
-    out = []
+    out: dict[bytes, None] = {}
     for item in obj:
         if not isinstance(item, str):
             raise LedgerError("pending pool entries must be hex strings")
-        out.append(parse_hex(item, DIGEST_LEN, "pending digest"))
+        digest = parse_hex(item, DIGEST_LEN, "pending digest")
+        if digest in out:
+            raise LedgerError(f"pending pool lists digest {item} twice")
+        out[digest] = None
     return out
 
 

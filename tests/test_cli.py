@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import karychain
 from karychain.cli import main
 
 PAYLOAD = b"cli demo payload " * 64
@@ -26,6 +30,19 @@ def demo_paths(root: Path, k=4):
     manifest = frag_dir / "manifest.kmanifest.json"
     frags = [frag_dir / f"frag_{i}.kary" for i in range(1, k + 1)]
     return manifest, frags
+
+
+def run_kary(root: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run `kary` in a child process, so stderr shows any traceback."""
+    src = str(Path(karychain.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "karychain.cli", "--workspace", str(root), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 def split_anchor_mine(runner, root, payload_path, extra_split=(), env=None, k=4):
@@ -208,6 +225,23 @@ class TestExitCodes:
             main, [*ws_args(root), "assemble", str(manifest), *map(str, frags)]
         )
         assert res.exit_code == 1
+
+
+    def test_non_ascii_pending_pool_is_rejected(self, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "pending.json").write_bytes('["\u00e9"]'.encode("utf-8"))
+        res = run_kary(root, "ledger", "show")
+        assert res.returncode == 1, res.stderr
+        assert "ledger rejected" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_unreadable_ledger_is_io_error(self, tmp_path):
+        root = tmp_path / "ws"
+        (root / "ledger.jsonl").mkdir(parents=True)
+        res = run_kary(root, "ledger", "show")
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestWorkspaceConfig:

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import struct
 
 import pytest
 
 from karychain import ledger as ledger_module
 
-from karychain.canonical import CanonicalJsonError
+from karychain.canonical import CanonicalJsonError, canonical_bytes
 from karychain.ledger import (
     GENESIS,
     AnchorReceipt,
@@ -32,6 +33,24 @@ def h(data: bytes) -> bytes:
 
 def leaves(n: int) -> list[bytes]:
     return [h(bytes([i])) for i in range(n)]
+
+
+def reference_path(leaves: list[bytes], index: int) -> list[tuple[bytes, str]]:
+    """The path as the tree's definition gives it: rebuild every level for one leaf."""
+    path = []
+    level = list(leaves)
+    while len(level) > 1:
+        if index % 2 == 0:
+            if index + 1 < len(level):
+                path.append((level[index + 1], "RIGHT"))
+        else:
+            path.append((level[index - 1], "LEFT"))
+        nxt = [h(level[i] + level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2 == 1:
+            nxt.append(level[-1])
+        level = nxt
+        index //= 2
+    return path
 
 
 class TestMerkle:
@@ -77,6 +96,21 @@ class TestMerkle:
                 # flipping the side of a self-symmetric step cannot collide
                 assert apply_merkle_path(ls[i], bad_side) != root
 
+    def test_paths_from_one_tree_match_the_reference(self, rng):
+        # every leaf up to 100 leaves, then the edges and a random sample
+        # (the per-leaf reference is quadratic in the leaf count)
+        for n in range(1, 301):
+            ls = [h(i.to_bytes(2, "big")) for i in range(n)]
+            levels = ledger_module._merkle_levels(ls)
+            assert levels[-1] == [merkle_root_of(ls)]
+            if n <= 100:
+                indices = range(n)
+            else:
+                indices = {0, 1, n // 2, n - 2, n - 1, *rng.sample(range(n), 4)}
+            for i in indices:
+                expected = reference_path(ls, i)
+                assert ledger_module._path_in(levels, i) == expected, (n, i)
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             merkle_path_of(leaves(3), 3)
@@ -90,6 +124,21 @@ class TestBlockHash:
 
     def test_genesis_golden_vector(self):
         assert block_hash(GENESIS).hex() == GENESIS_HASH_HEX
+
+    def test_header_matches_field_by_field_packing(self, rng):
+        for _ in range(200):
+            block = Block(
+                height=rng.randrange(2**64),
+                prev_hash=rng.randbytes(32),
+                merkle_root=rng.randbytes(32),
+                timestamp=rng.randrange(2**64),
+                difficulty=rng.randrange(256),
+                nonce=rng.randrange(2**64),
+                tx_digests=(),
+            )
+            head = struct.pack(">Q", block.height)
+            tail = struct.pack(">QBQ", block.timestamp, block.difficulty, block.nonce)
+            assert block.header() == head + block.prev_hash + block.merkle_root + tail
 
     def test_hash_depends_on_every_field(self):
         base = Block(
@@ -205,6 +254,48 @@ class TestMining:
                 attempts.append(block.nonce + 1)
             mean = sum(attempts) / len(attempts)
             assert 2**difficulty / 4 <= mean <= 2**difficulty * 4, (difficulty, mean)
+
+
+# (pool size, difficulty, nonce, block hash, SHA-256 of every receipt's
+# canonical JSON in pool order), computed with a miner that built a validated
+# Block per nonce and rebuilt the Merkle tree per receipt
+GOLDEN_BLOCKS = [
+    (1, 0, 0, "33fb7ab433a114781f4dd1f8837e8571175b6f8329fbb1557b861fcdb46a54e4", "3953786f5608db5612c8e62bf72b16d8842c0e11aa5b78b9b619e4e4c0b37be7"),
+    (1, 8, 348, "00a7d10f9242da2d85d228126905097d5142fa646bf68898078bb85c22ba07d2", "bf205cf045ae354182dc909cca5b5c5b26af8433aa314fa4f693cf92797105e3"),
+    (1, 12, 12648, "000fe986d6704d43e4ae753add083dae3c6b472b31295eaef3506c7aa1a6be0e", "448b0630cee098cbcf8cfb52a8a62beef3172daf60d49b9703ca1fc4f04a1360"),
+    (2, 0, 0, "d95d74ba9e1af48af150b8487341e3b86c66a86dbb0277b982b49d10f4e2ff19", "1c7822eece9fdec9e1c53aed84bd6bd3e1612392d538ee906a3c67cbe38465c6"),
+    (2, 8, 345, "00f7570e07ea85d67a998f0c87003a04bff1dc2e79e0e57921626f95bd6ddbac", "e2accaa29678e44362c20693287b4dab7c16046ed7cf6c75d1c896aed0c2a9ac"),
+    (2, 12, 5374, "000f42d31cb0a0e939f083514971c2f699e07897395fe22314166ce1f5169ca8", "212d7277baefd84c4b51bbcc00dd9a1adef67057eaa38f6a7b840cd7b645737b"),
+    (3, 0, 0, "317421b76f0b89a235eaccec02a1c89f9eeb00ef8a528d1ec6a6851e7ee1e7df", "63057c592b5ba39d47cf2ec43ffacda63f2360fc82b9c8d8a5e230a1f10f9147"),
+    (3, 8, 484, "00765acf8f6b9e3832fad0231eec33dd2ab991b84ddb6c905d7775e48c8fc97f", "930ae1604ab8ae69fd18e67cadd98c952b57b401cadf9a05fdc76a4ac0799493"),
+    (3, 12, 3830, "0002357146c28ece15f07527953daf43d4fad01d83d6f5a49c55f0101929ab2d", "2153798c605ddec26607fa7310d98dd7610531c05eb3cac5a3c8b31eb364fd94"),
+    (17, 0, 0, "dcd1a26650911ef354f89a7902715fd1f1c489156002d211292b0d327f3da945", "7c5e5279bfd77e62ac2dbf69bf74f80dd12f7739999d363e8cd7e4d76ed49a02"),
+    (17, 8, 1191, "0012b602c30883703febce00036438162a0946a735534a4a7c94fa8b56e4bee4", "961bc47d8eacf085504a41d9e57e5b9932b31290d1102b1b3194e5e1d588b026"),
+    (17, 12, 3179, "000978903a928768c73a642a23b6f09f2102cd0fd8f257e7e20e7cca5f6c0722", "a856a5395104b151d4042fc8ecb120a53acc71f51b14282709d72ae5c02c3500"),
+    (160, 0, 0, "832521a2d02b54b3cd37f84978d4c5036e75bdf6f2acfba16852244a016b3c25", "97b893c60914566f933367d7083abcfa55a1ff86db7650ba2569bc433a166e80"),
+    (160, 8, 1672, "0061c00d3699d0052ec6714a965120bcce1724338efdffea39ef11838919ffa7", "c7a66fa663df373bbcfcd257cc3173e8f7829989a2b5bd675f31c0ff5faab4fd"),
+    (160, 12, 325, "00002c9819129d29e0e6113c39639af1d5ef0c26ea3b0b79f20b6ff470716135", "84e99ade9e03e10d8f9d1149ef12f0c00f4d9dc99b7e5a68f165323e1e4cec8c"),
+    (256, 0, 0, "69a7868d3027936e9e78b9faacb879e2609d0fd6bf527363f93eb44726492240", "ea635ad7c38e9248b05fb65d5b72e1f51f017b71891a03209e1025e715981a73"),
+    (256, 8, 359, "00a5dcd13ffe09683d48ce263b83b3dbffe279631ecaafe8dbc5352a33a3b024", "8c40054e4d31601f0c50034ab531d9c2e4c098ccef1782ff3b93e65fd78866b8"),
+    (256, 12, 1908, "000f1095ea29091db985e86a53d6fa8e6fa048385730b617f39205e35d909f0b", "31f54e89adecb93a0ad1d73f4220326710bcb0e2d7139c39270a5eef7b123d3d"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, difficulty, nonce, block_hex, receipts_hex",
+    GOLDEN_BLOCKS,
+    ids=[f"{n}tx-d{d}" for n, d, *_ in GOLDEN_BLOCKS],
+)
+def test_mined_block_and_receipts_are_pinned(n, difficulty, nonce, block_hex, receipts_hex):
+    ledger = Ledger(difficulty=difficulty)
+    for i in range(n):
+        ledger.submit_anchor(h(b"golden-%d" % i))
+    block, receipts = ledger.mine_block(now=1_700_000_000 + n)
+    assert block.nonce == nonce
+    assert block_hash(block).hex() == block_hex
+    joined = b"".join(canonical_bytes(r.to_json_dict()) for r in receipts)
+    assert h(joined).hex() == receipts_hex
+    assert ledger.validate_chain()
 
 
 class TestVerifyReceipt:
@@ -456,6 +547,13 @@ class TestPersistence:
             reopened.submit_anchor(h(b"queued"))
         reopened.mine_block(now=5)
         assert Ledger(path=chain, pending_path=pending, difficulty=0).pending == ()
+
+    def test_pending_pool_listing_a_digest_twice_is_refused(self, tmp_path):
+        pending = tmp_path / "pending.json"
+        digest = h(b"queued").hex()
+        pending.write_text(f'["{digest}","{digest}"]', encoding="ascii")
+        with pytest.raises(LedgerError, match="twice"):
+            Ledger(path=tmp_path / "chain.jsonl", pending_path=pending, difficulty=0)
 
     def test_receipt_store_round_trip(self, tmp_path):
         ledger = Ledger(difficulty=4)
