@@ -1,16 +1,34 @@
-"""Canonical JSON encoding shared by manifests, ledger blocks, and receipts.
+"""Canonical JSON, the field kinds its records are declared with, and SHA-256.
 
 Canonical form: keys sorted ascending, no insignificant whitespace, ASCII
 output, integers only (floats are never produced and never accepted). Strict
 loading re-serializes and compares, so any value-preserving re-encoding of a
 stored document (case-flipped hex, reordered keys, inserted whitespace) is
 rejected rather than silently normalized.
+
+`Block`, `AnchorReceipt` and `PayloadManifest` derive from `Record` and
+declare their fields once, in a `FIELDS` table mapping each field name to a
+kind (`IntRange`, `Hex`, `HexList`, `EnumName`, `MerklePath`). The table
+gives each record its construction checks, `to_json_dict` and
+`from_json_dict`, so a record built in Python obeys exactly what the reader
+accepts. A kind's `check` judges a Python value (type, range, width),
+`encode` writes it as JSON, and `decode` reads it back, judging only its
+JSON encoding (a string of lowercase hex, a known enum name). Each value
+is checked once, by `check`, however the record is made.
 """
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import json
-from typing import Any
+from typing import Any, ClassVar, TypeVar
+
+DIGEST_LEN = 32
+
+
+def sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 class CanonicalJsonError(ValueError):
@@ -36,37 +54,182 @@ def canonical_loads_strict(text: str) -> Any:
     return obj
 
 
-def require_int(obj: Any, key: str, lo: int, hi: int) -> int:
-    """Fetch an integer field, rejecting bools, floats, and out-of-range values."""
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CanonicalJsonError(f"field {key!r} must be an integer")
-    if not lo <= value <= hi:
-        raise CanonicalJsonError(f"field {key!r} out of range [{lo}, {hi}]: {value}")
-    return value
+# ---------------------------------------------------------------------------
+# Field kinds: `check` returns the value (a sequence as a tuple) or raises
+# ValueError.
 
 
-def require_hex(obj: Any, key: str, nbytes: int) -> bytes:
-    """Fetch a fixed-width lowercase-hex field as bytes."""
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise CanonicalJsonError(f"field {key!r} must be a hex string")
-    return parse_hex(value, nbytes, key)
+class IntRange:
+    """An integer in lo..hi; bools and floats are refused."""
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+
+    def check(self, value: Any, name: str) -> int:
+        if type(value) is not int or not self.lo <= value <= self.hi:
+            raise ValueError(f"{name} must be an integer in {self.lo}..{self.hi}, got {value!r}")
+        return value
+
+    def encode(self, value: int) -> int:
+        return value
+
+    def decode(self, raw: Any, name: str) -> Any:
+        return raw
 
 
-def parse_hex(value: str, nbytes: int, what: str) -> bytes:
-    if len(value) != 2 * nbytes or value != value.lower():
-        raise CanonicalJsonError(f"{what} must be {2 * nbytes} lowercase hex chars")
-    try:
-        return bytes.fromhex(value)
-    except ValueError as exc:
-        raise CanonicalJsonError(f"{what} is not valid hex") from exc
+def _unhex(raw: Any, name: str) -> bytes:
+    # canonical hex is exactly what bytes.hex() writes: lowercase, unseparated
+    if type(raw) is str:
+        try:
+            value = bytes.fromhex(raw)
+        except ValueError:
+            pass
+        else:
+            if value.hex() == raw:
+                return value
+    raise ValueError(f"{name} must be a lowercase hex string, got {raw!r}")
 
 
-def require_str(obj: Any, key: str, allowed: tuple[str, ...] | None = None) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise CanonicalJsonError(f"field {key!r} must be a string")
-    if allowed is not None and value not in allowed:
-        raise CanonicalJsonError(f"field {key!r} must be one of {allowed}, got {value!r}")
-    return value
+class Hex:
+    """Bytes of a fixed width, written as lowercase hex."""
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def check(self, value: Any, name: str) -> bytes:
+        if not isinstance(value, bytes) or len(value) != self.width:
+            raise ValueError(f"{name} must be exactly {self.width} bytes")
+        return value
+
+    def encode(self, value: bytes) -> str:
+        return value.hex()
+
+    def decode(self, raw: Any, name: str) -> bytes:
+        return _unhex(raw, name)
+
+
+class HexList:
+    """A tuple of fixed-width byte strings, written as a list of lowercase hex."""
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def check(self, value: Any, name: str) -> tuple[bytes, ...]:
+        items, width = tuple(value), self.width
+        for item in items:
+            if not isinstance(item, bytes) or len(item) != width:
+                raise ValueError(f"every entry of {name} must be exactly {width} bytes")
+        return items
+
+    def encode(self, value: tuple[bytes, ...]) -> list[str]:
+        return [item.hex() for item in value]
+
+    def decode(self, raw: Any, name: str) -> tuple[bytes, ...]:
+        if type(raw) is not list:
+            raise ValueError(f"{name} must be a list")
+        return tuple([_unhex(item, name) for item in raw])
+
+
+class EnumName:
+    """A member of an enum, written as its name."""
+
+    def __init__(self, enum_cls: type[enum.Enum]):
+        self.enum_cls = enum_cls
+
+    def check(self, value: Any, name: str) -> enum.Enum:
+        if not isinstance(value, self.enum_cls):
+            raise ValueError(f"{name} must be a {self.enum_cls.__name__}, got {value!r}")
+        return value
+
+    def encode(self, value: enum.Enum) -> str:
+        return value.name
+
+    def decode(self, raw: Any, name: str) -> enum.Enum:
+        member = self.enum_cls.__members__.get(raw) if type(raw) is str else None
+        if member is None:
+            raise ValueError(f"{name} must name a {self.enum_cls.__name__}, got {raw!r}")
+        return member
+
+
+class MerklePath:
+    """A tuple of (sibling digest, side) steps, written as a list of
+    {"sibling": hex, "side": name} objects."""
+
+    def __init__(self, width: int, sides: tuple[str, ...]):
+        self.width, self.sides = width, sides
+
+    def check(self, value: Any, name: str) -> tuple[tuple[bytes, str], ...]:
+        # one loop over every step: mining builds a receipt per anchored digest
+        steps, width, sides = tuple(value), self.width, self.sides
+        for sibling, side in steps:
+            if not isinstance(sibling, bytes) or len(sibling) != width:
+                raise ValueError(f"each sibling in {name} must be exactly {width} bytes")
+            if side not in sides:
+                raise ValueError(f"unknown path side {side!r}")
+        return steps
+
+    def encode(self, value: tuple[tuple[bytes, str], ...]) -> list[dict[str, str]]:
+        return [{"sibling": sibling.hex(), "side": side} for sibling, side in value]
+
+    def decode(self, raw: Any, name: str) -> tuple[tuple[bytes, Any], ...]:
+        if type(raw) is not list:
+            raise ValueError(f"{name} must be a list")
+        steps = []
+        for step in raw:
+            if type(step) is not dict or step.keys() != {"sibling", "side"}:
+                raise ValueError(f"each step of {name} needs exactly sibling and side")
+            steps.append((_unhex(step["sibling"], name), step["side"]))
+        return tuple(steps)
+
+
+U64 = IntRange(0, 2**64 - 1)
+DIGEST = Hex(DIGEST_LEN)
+DIGESTS = HexList(DIGEST_LEN)
+
+R = TypeVar("R", bound="Record")
+
+
+class Record:
+    """Base of a frozen dataclass whose fields are all declared in `FIELDS`.
+
+    A subclass with checks that span fields puts them in `_check_together`.
+    """
+
+    FIELDS: ClassVar[dict[str, Any]]
+    _codecs: ClassVar[tuple[tuple[str, Any, Any], ...]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # bound once per class: mining builds a receipt per anchored digest
+        # and a chain load decodes a block per line, and looking the kind's
+        # methods up per field made both measurably slower
+        cls._codecs = tuple((name, kind.check, kind.decode) for name, kind in cls.FIELDS.items())
+
+    def __post_init__(self) -> None:
+        for name, check, _ in self._codecs:
+            value = getattr(self, name)
+            checked = check(value, name)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+        self._check_together()
+
+    def _check_together(self) -> None:
+        """Checks that span fields, run once every field has passed its own."""
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {name: kind.encode(getattr(self, name)) for name, kind in self.FIELDS.items()}
+
+    @classmethod
+    def from_json_dict(cls: type[R], obj: Any) -> R:
+        if type(obj) is not dict or obj.keys() != cls.FIELDS.keys():
+            raise CanonicalJsonError(f"{cls.__name__} has missing or unknown fields")
+        # each value is checked here once, so __init__, which would check it
+        # again, is skipped: a chain load decodes a block per line
+        record = object.__new__(cls)
+        try:
+            for name, check, decode in cls._codecs:
+                record.__dict__[name] = check(decode(obj[name], name), name)
+            record._check_together()
+        except ValueError as exc:
+            raise CanonicalJsonError(str(exc)) from exc
+        return record

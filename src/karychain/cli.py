@@ -19,10 +19,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
-from .canonical import CanonicalJsonError, canonical_dumps
+from .canonical import CanonicalJsonError, IntRange, canonical_dumps, sha256
 from .fragments import (
     ClassCode,
     FragmentError,
@@ -30,7 +31,6 @@ from .fragments import (
     PartitionStrategy,
     PayloadManifest,
     parse_fragment,
-    sha256,
 )
 from .ledger import (
     AnchorReceipt,
@@ -77,8 +77,7 @@ class WorkspaceConfig:
         ]
         if len({p.resolve() for p in paths}) != len(paths):
             raise ValueError("workspace paths must be distinct")
-        if not 0 <= self.difficulty <= MAX_CLI_DIFFICULTY:
-            raise ValueError(f"difficulty must be in 0..{MAX_CLI_DIFFICULTY}")
+        IntRange(0, MAX_CLI_DIFFICULTY).check(self.difficulty, "difficulty")
 
     @classmethod
     def create(cls, root: Path, difficulty: int | None, seed: int | None) -> "WorkspaceConfig":
@@ -124,12 +123,10 @@ def _config_int(defaults: dict, key: str, upper: int, path: Path) -> int | None:
     """An optional integer field of config.json, in 0..upper (bools refused)."""
     if key not in defaults:
         return None
-    value = defaults[key]
-    if type(value) is not int or not 0 <= value <= upper:
-        raise click.UsageError(
-            f"{path}: {key!r} must be an integer in 0..{upper}, got {value!r}"
-        )
-    return value
+    try:
+        return IntRange(0, upper).check(defaults[key], repr(key))
+    except ValueError as exc:
+        raise click.UsageError(f"{path}: {exc}") from None
 
 
 def _now() -> int:
@@ -142,7 +139,7 @@ def _now() -> int:
     return int(time.time())
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -152,7 +149,6 @@ def _read_file(path: Path) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _write_file(path: Path, data: bytes) -> None:
@@ -169,7 +165,6 @@ def _load_manifest(path: Path) -> PayloadManifest:
         return PayloadManifest.from_canonical_bytes(data)
     except CanonicalJsonError as exc:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _open_ledger(cfg: WorkspaceConfig) -> Ledger:
@@ -177,10 +172,8 @@ def _open_ledger(cfg: WorkspaceConfig) -> Ledger:
         return cfg.open_ledger()
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
-        raise AssertionError("unreachable")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot open the ledger: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _gather_receipts(
@@ -192,7 +185,6 @@ def _gather_receipts(
             receipt = store.load(digest)
         except (CanonicalJsonError, ValueError) as exc:
             _fail(EXIT_GATE_FAILURE, f"receipt for {digest.hex()} rejected: {exc}")
-            raise AssertionError("unreachable")
         if receipt is not None:
             receipts[digest] = receipt
     return receipts
@@ -296,7 +288,6 @@ def mine(cfg: WorkspaceConfig) -> None:
         block, receipts = ledger.mine_block(_now())
     except EmptyPoolError as exc:
         _fail(EXIT_EMPTY_POOL, str(exc))
-        raise AssertionError("unreachable")
     for receipt in receipts:
         store.save(receipt)
     click.echo(
@@ -329,28 +320,24 @@ def verify(cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path
     # an unparseable fragment becomes a failing row (reported under its
     # argument position) instead of aborting the whole table
     parseable: list[bytes] = []
-    broken: list[tuple[int, str]] = []
+    broken: list[workflow.FragmentStatus] = []
     for position, blob in enumerate(blobs, start=1):
         try:
             parse_fragment(blob)
             parseable.append(blob)
         except FragmentError as exc:
-            broken.append((position, str(exc)))
+            broken.append(
+                workflow.FragmentStatus(
+                    index=position,
+                    anchored=False,
+                    anchor_reason=f"unparseable: {exc}",
+                    slice_ok=False,
+                    deps_ok=False,
+                    consistent=False,
+                )
+            )
     statuses = workflow.verify_fragments(parseable, manifest, receipts, ledger)
-    rows = [s.to_json_dict() for s in statuses]
-    for position, reason in broken:
-        rows.append(
-            {
-                "index": position,
-                "anchored": False,
-                "anchor_reason": f"unparseable: {reason}",
-                "slice_ok": False,
-                "deps_ok": False,
-                "consistent": False,
-                "ok": False,
-            }
-        )
-    rows.sort(key=lambda r: r["index"])
+    rows = sorted((s.to_json_dict() for s in [*statuses, *broken]), key=lambda r: r["index"])
     click.echo(f"chain valid:       {'yes' if chain_ok else 'NO'}")
     click.echo(
         f"manifest anchored: {'yes' if manifest_result.ok else 'NO'}"
@@ -401,10 +388,8 @@ def assemble(
         payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
     except workflow.AssemblyError as exc:
         _fail(EXIT_GATE_FAILURE, f"{type(exc).__name__}: {exc}")
-        raise AssertionError("unreachable")
     except FragmentError as exc:
         _fail(EXIT_GATE_FAILURE, f"fragment rejected: {exc}")
-        raise AssertionError("unreachable")
     out = out if out is not None else cfg.root / "recovered.bin"
     _write_file(out, payload)
     _write_file(
@@ -436,7 +421,6 @@ def run(
     except (workflow.AssemblyError, workflow.ExecutionError, FragmentError) as exc:
         _write_file(trace_path, canonical_dumps({"activation_trace": []}).encode("ascii"))
         _fail(EXIT_GATE_FAILURE, f"{type(exc).__name__}: {exc}")
-        raise AssertionError("unreachable")
     report.activation_trace = tuple(trace)
     _write_file(
         trace_path,

@@ -21,33 +21,32 @@ as canonical JSON with extension `.kmanifest.json`.
 from __future__ import annotations
 
 import enum
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Sequence
 
 from .canonical import (
+    DIGEST,
+    DIGEST_LEN,
+    DIGESTS,
+    U64,
     CanonicalJsonError,
+    EnumName,
+    Hex,
+    IntRange,
+    Record,
     canonical_bytes,
     canonical_loads_strict,
-    parse_hex,
-    require_hex,
-    require_int,
-    require_str,
+    sha256,
 )
 
 MAGIC = b"KARY"
 WIRE_VERSION = 1
 MANIFEST_VERSION = 1
-DIGEST_LEN = 32
 NONCE_LEN = 12
 MAX_K = 255
 MANIFEST_SUFFIX = ".kmanifest.json"
-
-
-def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
 
 
 class ClassCode(enum.IntEnum):
@@ -231,17 +230,11 @@ def parse_fragment(data: bytes) -> Fragment:
 # Partitioning
 
 
-def partition_payload(
-    ciphertext: bytes,
-    k: int,
-    strategy: PartitionStrategy,
-    seed: int = 0,
-) -> list[bytes]:
+def partition_payload(ciphertext: bytes, k: int, strategy: PartitionStrategy) -> list[bytes]:
     """Cut the ciphertext into k slices whose sizes differ by at most one byte.
 
     CONTIGUOUS deals consecutive runs; INTERLEAVE stripes byte j to slice
-    j mod k. The seed is reserved for future randomized strategies and is
-    ignored by both shipped ones.
+    j mod k.
     """
     if k < 1:
         raise ValueError(f"fragment count must be >= 1, got {k}")
@@ -263,11 +256,7 @@ def partition_payload(
     raise ValueError(f"unknown partition strategy {strategy!r}")
 
 
-def unpartition(
-    slices: Sequence[bytes],
-    strategy: PartitionStrategy,
-    seed: int = 0,
-) -> bytes:
+def unpartition(slices: Sequence[bytes], strategy: PartitionStrategy) -> bytes:
     """Inverse of partition_payload for slices given in index order."""
     if not slices:
         raise ValueError("cannot unpartition an empty slice list")
@@ -293,7 +282,7 @@ def unpartition(
 
 
 @dataclass(frozen=True)
-class PayloadManifest:
+class PayloadManifest(Record):
     """Out-of-band description of one fragmented payload."""
 
     k: int
@@ -308,98 +297,30 @@ class PayloadManifest:
     plaintext_digest: bytes
     version: int = MANIFEST_VERSION
 
-    def __post_init__(self) -> None:
-        if self.version != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {self.version}")
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in 1..{MAX_K}, got {self.k}")
-        if not 1 <= self.threshold <= self.k:
-            raise ValueError(
-                f"threshold must be in 1..{self.k}, got {self.threshold}"
-            )
+    FIELDS = {
+        "version": IntRange(MANIFEST_VERSION, MANIFEST_VERSION),
+        "k": IntRange(1, MAX_K),
+        "threshold": IntRange(1, MAX_K),
+        "class_code": EnumName(ClassCode),
+        "key_scheme": EnumName(KeyScheme),
+        "partition_strategy": EnumName(PartitionStrategy),
+        # kept in the format; both partition strategies ignore it
+        "partition_seed": U64,
+        "nonce": Hex(NONCE_LEN),
+        "slice_digests": DIGESTS,
+        "ciphertext_digest": DIGEST,
+        "plaintext_digest": DIGEST,
+    }
+
+    def _check_together(self) -> None:
+        if self.threshold > self.k:
+            raise ValueError(f"threshold must be in 1..{self.k}, got {self.threshold}")
         if self.key_scheme is KeyScheme.XOR_SPLIT and self.threshold != self.k:
             raise ValueError("XOR_SPLIT requires threshold == k")
-        if not 0 <= self.partition_seed < 2**64:
-            raise ValueError("partition seed must fit in 64 bits")
-        if len(self.nonce) != NONCE_LEN:
-            raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-        object.__setattr__(self, "slice_digests", tuple(self.slice_digests))
         if len(self.slice_digests) != self.k:
             raise ValueError(
                 f"expected {self.k} slice digests, got {len(self.slice_digests)}"
             )
-        for d in (*self.slice_digests, self.ciphertext_digest, self.plaintext_digest):
-            if len(d) != DIGEST_LEN:
-                raise ValueError("all digests must be 32 bytes")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "k": self.k,
-            "threshold": self.threshold,
-            "class_code": self.class_code.name,
-            "key_scheme": self.key_scheme.value,
-            "partition_strategy": self.partition_strategy.value,
-            "partition_seed": self.partition_seed,
-            "nonce": self.nonce.hex(),
-            "slice_digests": [d.hex() for d in self.slice_digests],
-            "ciphertext_digest": self.ciphertext_digest.hex(),
-            "plaintext_digest": self.plaintext_digest.hex(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Any) -> "PayloadManifest":
-        if not isinstance(obj, dict):
-            raise CanonicalJsonError("manifest must be a JSON object")
-        known = {
-            "version",
-            "k",
-            "threshold",
-            "class_code",
-            "key_scheme",
-            "partition_strategy",
-            "partition_seed",
-            "nonce",
-            "slice_digests",
-            "ciphertext_digest",
-            "plaintext_digest",
-        }
-        if set(obj) != known:
-            raise CanonicalJsonError("manifest has missing or unknown fields")
-        version = require_int(obj, "version", MANIFEST_VERSION, MANIFEST_VERSION)
-        k = require_int(obj, "k", 1, MAX_K)
-        threshold = require_int(obj, "threshold", 1, MAX_K)
-        class_code = ClassCode[require_str(obj, "class_code", tuple(c.name for c in ClassCode))]
-        key_scheme = KeyScheme(require_str(obj, "key_scheme", tuple(s.value for s in KeyScheme)))
-        strategy = PartitionStrategy(
-            require_str(obj, "partition_strategy", tuple(s.value for s in PartitionStrategy))
-        )
-        seed = require_int(obj, "partition_seed", 0, 2**64 - 1)
-        nonce = require_hex(obj, "nonce", NONCE_LEN)
-        raw_digests = obj.get("slice_digests")
-        if not isinstance(raw_digests, list):
-            raise CanonicalJsonError("slice_digests must be a list")
-        digests = []
-        for d in raw_digests:
-            if not isinstance(d, str):
-                raise CanonicalJsonError("slice digest must be a hex string")
-            digests.append(parse_hex(d, DIGEST_LEN, "slice digest"))
-        try:
-            return cls(
-                version=version,
-                k=k,
-                threshold=threshold,
-                class_code=class_code,
-                key_scheme=key_scheme,
-                partition_strategy=strategy,
-                partition_seed=seed,
-                nonce=nonce,
-                slice_digests=tuple(digests),
-                ciphertext_digest=require_hex(obj, "ciphertext_digest", DIGEST_LEN),
-                plaintext_digest=require_hex(obj, "plaintext_digest", DIGEST_LEN),
-            )
-        except ValueError as exc:
-            raise CanonicalJsonError(str(exc)) from exc
 
     def canonical_bytes(self) -> bytes:
         return canonical_bytes(self.to_json_dict())

@@ -23,19 +23,22 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .canonical import (
+    DIGEST,
+    DIGEST_LEN,
+    DIGESTS,
+    U64,
     CanonicalJsonError,
+    IntRange,
+    MerklePath,
+    Record,
     canonical_dumps,
     canonical_loads_strict,
-    parse_hex,
-    require_hex,
-    require_int,
-    require_str,
+    sha256,
 )
 
-DIGEST_LEN = 32
 ZERO32 = bytes(32)
 # height, prev_hash, merkle_root, timestamp, difficulty, nonce
 _HEADER = struct.Struct(">Q32s32sQBQ")
@@ -43,6 +46,7 @@ _NONCE = struct.Struct(">Q")
 BLOCK_HEADER_LEN = _HEADER.size
 SIDE_LEFT = "LEFT"
 SIDE_RIGHT = "RIGHT"
+_DIFFICULTY = IntRange(0, 255)
 
 
 class LedgerError(Exception):
@@ -55,15 +59,6 @@ class DuplicatePendingError(LedgerError):
 
 class EmptyPoolError(LedgerError):
     """Mining was requested with nothing to anchor."""
-
-
-def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
-def _check_digest(digest: bytes, what: str = "digest") -> None:
-    if not isinstance(digest, bytes) or len(digest) != DIGEST_LEN:
-        raise ValueError(f"{what} must be exactly {DIGEST_LEN} bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ def apply_merkle_path(leaf: bytes, path: Sequence[tuple[bytes, str]]) -> bytes:
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Record):
     height: int
     prev_hash: bytes
     merkle_root: bytes
@@ -144,18 +139,15 @@ class Block:
     nonce: int
     tx_digests: tuple[bytes, ...]
 
-    def __post_init__(self) -> None:
-        if self.height < 0:
-            raise ValueError("height must be >= 0")
-        if not 0 <= self.difficulty <= 255:
-            raise ValueError("difficulty must be in 0..255")
-        if not 0 <= self.timestamp < 2**64 or not 0 <= self.nonce < 2**64:
-            raise ValueError("timestamp and nonce must fit in 64 bits")
-        _check_digest(self.prev_hash, "prev_hash")
-        _check_digest(self.merkle_root, "merkle_root")
-        object.__setattr__(self, "tx_digests", tuple(self.tx_digests))
-        for d in self.tx_digests:
-            _check_digest(d, "tx digest")
+    FIELDS = {
+        "height": U64,
+        "prev_hash": DIGEST,
+        "merkle_root": DIGEST,
+        "timestamp": U64,
+        "difficulty": _DIFFICULTY,
+        "nonce": U64,
+        "tx_digests": DIGESTS,
+    }
 
     def header(self) -> bytes:
         return _HEADER.pack(
@@ -167,66 +159,15 @@ class Block:
             self.nonce,
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "height": self.height,
-            "prev_hash": self.prev_hash.hex(),
-            "merkle_root": self.merkle_root.hex(),
-            "timestamp": self.timestamp,
-            "difficulty": self.difficulty,
-            "nonce": self.nonce,
-            "tx_digests": [d.hex() for d in self.tx_digests],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Any) -> "Block":
-        if not isinstance(obj, dict):
-            raise CanonicalJsonError("block must be a JSON object")
-        known = {
-            "height",
-            "prev_hash",
-            "merkle_root",
-            "timestamp",
-            "difficulty",
-            "nonce",
-            "tx_digests",
-        }
-        if set(obj) != known:
-            raise CanonicalJsonError("block has missing or unknown fields")
-        raw_txs = obj.get("tx_digests")
-        if not isinstance(raw_txs, list):
-            raise CanonicalJsonError("tx_digests must be a list")
-        txs = []
-        for d in raw_txs:
-            if not isinstance(d, str):
-                raise CanonicalJsonError("tx digest must be a hex string")
-            txs.append(parse_hex(d, DIGEST_LEN, "tx digest"))
-        try:
-            return cls(
-                height=require_int(obj, "height", 0, 2**64 - 1),
-                prev_hash=require_hex(obj, "prev_hash", DIGEST_LEN),
-                merkle_root=require_hex(obj, "merkle_root", DIGEST_LEN),
-                timestamp=require_int(obj, "timestamp", 0, 2**64 - 1),
-                difficulty=require_int(obj, "difficulty", 0, 255),
-                nonce=require_int(obj, "nonce", 0, 2**64 - 1),
-                tx_digests=tuple(txs),
-            )
-        except ValueError as exc:
-            raise CanonicalJsonError(str(exc)) from exc
-
 
 def block_hash(block: Block) -> bytes:
     """Double SHA-256 over the 89-byte header."""
     return sha256(sha256(block.header()))
 
 
-def leading_zero_bits(digest: bytes) -> int:
-    value = int.from_bytes(digest, "big")
-    return 8 * len(digest) - value.bit_length()
-
-
 def meets_difficulty(digest: bytes, difficulty: int) -> bool:
-    return leading_zero_bits(digest) >= difficulty
+    """Whether a 32-byte hash is below the target: has `difficulty` leading zero bits."""
+    return int.from_bytes(digest, "big") < 1 << (256 - difficulty)
 
 
 def _first_nonce(prefix: bytes, difficulty: int) -> tuple[int, bytes]:
@@ -234,8 +175,7 @@ def _first_nonce(prefix: bytes, difficulty: int) -> tuple[int, bytes]:
 
     `prefix` is the header without its trailing nonce, and is hashed once;
     each attempt copies that SHA-256 state, feeds it the 8 nonce bytes and
-    hashes the result again. A hash has at least `difficulty` leading zero
-    bits exactly when it is below the target.
+    hashes the result again, then compares as `meets_difficulty` does.
     """
     midstate = hashlib.sha256(prefix)
     copy, pack, sha, from_bytes = midstate.copy, _NONCE.pack, hashlib.sha256, int.from_bytes
@@ -251,7 +191,7 @@ def _first_nonce(prefix: bytes, difficulty: int) -> tuple[int, bytes]:
 
 
 @dataclass(frozen=True)
-class AnchorReceipt:
+class AnchorReceipt(Record):
     """Proof that a digest was committed into a specific block."""
 
     target_digest: bytes
@@ -261,66 +201,14 @@ class AnchorReceipt:
     merkle_path: tuple[tuple[bytes, str], ...]
     anchor_timestamp: int
 
-    def __post_init__(self) -> None:
-        _check_digest(self.target_digest, "target_digest")
-        _check_digest(self.block_hash, "block_hash")
-        _check_digest(self.merkle_root, "merkle_root")
-        if self.block_height < 0:
-            raise ValueError("block_height must be >= 0")
-        if not 0 <= self.anchor_timestamp < 2**64:
-            raise ValueError("anchor_timestamp must fit in 64 bits")
-        object.__setattr__(self, "merkle_path", tuple(self.merkle_path))
-        for sibling, side in self.merkle_path:
-            _check_digest(sibling, "path sibling")
-            if side not in (SIDE_LEFT, SIDE_RIGHT):
-                raise ValueError(f"unknown path side {side!r}")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "target_digest": self.target_digest.hex(),
-            "block_height": self.block_height,
-            "block_hash": self.block_hash.hex(),
-            "merkle_root": self.merkle_root.hex(),
-            "merkle_path": [
-                {"sibling": sibling.hex(), "side": side} for sibling, side in self.merkle_path
-            ],
-            "anchor_timestamp": self.anchor_timestamp,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Any) -> "AnchorReceipt":
-        if not isinstance(obj, dict):
-            raise CanonicalJsonError("receipt must be a JSON object")
-        known = {
-            "target_digest",
-            "block_height",
-            "block_hash",
-            "merkle_root",
-            "merkle_path",
-            "anchor_timestamp",
-        }
-        if set(obj) != known:
-            raise CanonicalJsonError("receipt has missing or unknown fields")
-        raw_path = obj.get("merkle_path")
-        if not isinstance(raw_path, list):
-            raise CanonicalJsonError("merkle_path must be a list")
-        path = []
-        for step in raw_path:
-            if not isinstance(step, dict) or set(step) != {"sibling", "side"}:
-                raise CanonicalJsonError("each path step needs sibling and side")
-            side = require_str(step, "side", (SIDE_LEFT, SIDE_RIGHT))
-            path.append((require_hex(step, "sibling", DIGEST_LEN), side))
-        try:
-            return cls(
-                target_digest=require_hex(obj, "target_digest", DIGEST_LEN),
-                block_height=require_int(obj, "block_height", 0, 2**64 - 1),
-                block_hash=require_hex(obj, "block_hash", DIGEST_LEN),
-                merkle_root=require_hex(obj, "merkle_root", DIGEST_LEN),
-                merkle_path=tuple(path),
-                anchor_timestamp=require_int(obj, "anchor_timestamp", 0, 2**64 - 1),
-            )
-        except ValueError as exc:
-            raise CanonicalJsonError(str(exc)) from exc
+    FIELDS = {
+        "target_digest": DIGEST,
+        "block_height": U64,
+        "block_hash": DIGEST,
+        "merkle_root": DIGEST,
+        "merkle_path": MerklePath(DIGEST_LEN, (SIDE_LEFT, SIDE_RIGHT)),
+        "anchor_timestamp": U64,
+    }
 
 
 @dataclass(frozen=True)
@@ -360,12 +248,8 @@ class Ledger:
         path: Path | None = None,
         pending_path: Path | None = None,
         difficulty: int = 8,
-        allow_empty_blocks: bool = False,
     ):
-        if not 0 <= difficulty <= 255:
-            raise ValueError("difficulty must be in 0..255")
-        self.difficulty = difficulty
-        self.allow_empty_blocks = allow_empty_blocks
+        self.difficulty = _DIFFICULTY.check(difficulty, "difficulty")
         self.path = Path(path) if path is not None else None
         self.pending_path = Path(pending_path) if pending_path is not None else None
         self._lock = threading.Lock()
@@ -378,13 +262,15 @@ class Ledger:
             self._blocks = list(_load_chain_file(self.path))
             if not self._blocks:
                 raise LedgerError(f"ledger file {self.path} is empty")
-        else:
+        # read before the genesis write below, so a refused pool leaves no
+        # new chain file behind
+        if self.pending_path is not None and self.pending_path.exists():
+            self._pending = _load_pending_file(self.pending_path)
+        if not self._blocks:
             self._blocks = [GENESIS]
             if self.path is not None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self.path.write_text(_block_line(GENESIS), encoding="ascii")
-        if self.pending_path is not None and self.pending_path.exists():
-            self._pending = _load_pending_file(self.pending_path)
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -403,7 +289,7 @@ class Ledger:
 
     def submit_anchor(self, digest: bytes) -> int:
         """Queue a digest for the next block; returns its pool position."""
-        _check_digest(digest)
+        DIGEST.check(digest, "digest")
         with self._lock:
             if digest in self._pending:
                 raise DuplicatePendingError(f"digest {digest.hex()} is already pending")
@@ -414,15 +300,14 @@ class Ledger:
 
     def mine_block(self, now: int) -> tuple[Block, list[AnchorReceipt]]:
         """Drain the pool into one proof-of-work block and emit receipts."""
-        if not 0 <= now < 2**64:
-            raise ValueError("timestamp must fit in 64 bits")
+        U64.check(now, "timestamp")
         with self._lock:
-            if not self._pending and not self.allow_empty_blocks:
+            if not self._pending:
                 raise EmptyPoolError("no pending digests to mine")
             txs = tuple(self._pending)
             tip = self._blocks[-1]
             levels = _merkle_levels(txs)
-            root = levels[-1][0] if txs else ZERO32
+            root = levels[-1][0]
             fields = (tip.height + 1, block_hash(tip), root, now, self.difficulty)
             prefix = _HEADER.pack(*fields, 0)[: -_NONCE.size]
             nonce, bh = _first_nonce(prefix, self.difficulty)
@@ -520,7 +405,7 @@ class Ledger:
         if self.pending_path is None:
             return
         self.pending_path.parent.mkdir(parents=True, exist_ok=True)
-        text = canonical_dumps([d.hex() for d in self._pending])
+        text = canonical_dumps(DIGESTS.encode(self._pending))
         self.pending_path.write_text(text, encoding="ascii")
 
 
@@ -545,22 +430,20 @@ def _load_chain_file(path: Path) -> Iterator[Block]:
 
 
 def _load_pending_file(path: Path) -> dict[bytes, None]:
+    """The pool as `pending.json` holds it: a list of distinct digests."""
     try:
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise LedgerError(f"pending pool file is not ASCII: {exc}") from exc
     obj = canonical_loads_strict(text)
-    if not isinstance(obj, list):
-        raise LedgerError("pending pool file must hold a JSON list")
-    out: dict[bytes, None] = {}
-    for item in obj:
-        if not isinstance(item, str):
-            raise LedgerError("pending pool entries must be hex strings")
-        digest = parse_hex(item, DIGEST_LEN, "pending digest")
-        if digest in out:
-            raise LedgerError(f"pending pool lists digest {item} twice")
-        out[digest] = None
-    return out
+    try:
+        digests = DIGESTS.check(DIGESTS.decode(obj, "pending pool"), "pending pool")
+    except ValueError as exc:
+        raise LedgerError(str(exc)) from exc
+    pool = dict.fromkeys(digests)
+    if len(pool) != len(digests):
+        raise LedgerError("pending pool lists a digest twice")
+    return pool
 
 
 class ReceiptStore:
@@ -570,7 +453,7 @@ class ReceiptStore:
         self.directory = Path(directory)
 
     def path_for(self, digest: bytes) -> Path:
-        _check_digest(digest)
+        DIGEST.check(digest, "digest")
         return self.directory / f"{digest.hex()}.receipt.json"
 
     def save(self, receipt: AnchorReceipt) -> Path:

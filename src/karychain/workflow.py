@@ -36,7 +36,9 @@ from typing import Any, Callable, Mapping, Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from .canonical import sha256
 from .fragments import (
+    NONCE_LEN,
     ClassCode,
     Fragment,
     KeyScheme,
@@ -46,7 +48,6 @@ from .fragments import (
     dep_indices,
     parse_fragment,
     partition_payload,
-    sha256,
     unpartition,
 )
 from .ledger import AnchorReceipt, Ledger, VerifyResult
@@ -60,7 +61,6 @@ from .sharing import (
 )
 
 KEY_LEN = 32
-NONCE_LEN = 12
 
 LAGRANGE = "LAGRANGE"
 NEVILLE = "NEVILLE"
@@ -197,7 +197,7 @@ def produce(
     ciphertext = ChaCha20Poly1305(key).encrypt(nonce, payload, None)
     if len(ciphertext) < k:
         raise ValueError(f"ciphertext of {len(ciphertext)} bytes cannot fill {k} slices")
-    slices = partition_payload(ciphertext, k, strategy, partition_seed)
+    slices = partition_payload(ciphertext, k, strategy)
     if key_scheme is KeyScheme.XOR_SPLIT:
         shares = split_secret_xor(key, k, rng)
     else:
@@ -379,9 +379,7 @@ def assemble(
         )
     parsed = sorted((s.fragment for s in statuses), key=lambda f: f.index)
     key = reconstruct_key(parsed, manifest, method)
-    ciphertext = unpartition(
-        [f.slice for f in parsed], manifest.partition_strategy, manifest.partition_seed
-    )
+    ciphertext = unpartition([f.slice for f in parsed], manifest.partition_strategy)
     if sha256(ciphertext) != manifest.ciphertext_digest:
         raise VerificationFailure("reassembled ciphertext digest mismatch")
     try:

@@ -14,6 +14,9 @@ import karychain
 from karychain.cli import main
 
 PAYLOAD = b"cli demo payload " * 64
+# verify_report.json of test_unparseable_fragment_row_is_pinned, computed
+# when the unparseable row was still a hand-written dict
+UNPARSEABLE_REPORT_SHA256 = "fc9552ad00f3a29db1bdc63afe3690d52559b2c49f99d71ba02e111d346602bf"
 
 
 @pytest.fixture
@@ -198,6 +201,26 @@ class TestExitCodes:
         report = json.loads((root / "verify_report.json").read_text())
         assert report["fragments"][1]["anchor_reason"] == "unanchored"
 
+    def test_unparseable_fragment_row_is_pinned(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        manifest, frags = split_anchor_mine(runner, root, payload_path)
+        frags[1].write_bytes(frags[1].read_bytes()[:3])
+        res = runner.invoke(main, [*ws_args(root), "verify", str(manifest), *map(str, frags)])
+        assert res.exit_code == 1
+        report = (root / "verify_report.json").read_bytes()
+        assert json.loads(report)["fragments"][1] == {
+            "index": 2,
+            "anchored": False,
+            "anchor_reason": "unparseable: fragment ends inside magic",
+            "slice_ok": False,
+            "deps_ok": False,
+            "consistent": False,
+            "ok": False,
+        }
+        assert hashlib.sha256(report).hexdigest() == UNPARSEABLE_REPORT_SHA256
+
     def test_run_class_ii_with_missing_fragment(self, runner, tmp_path):
         payload_path = tmp_path / "payload.bin"
         payload_path.write_bytes(PAYLOAD)
@@ -242,6 +265,17 @@ class TestExitCodes:
         res = run_kary(root, "ledger", "show")
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_refused_pool_creates_no_chain_file(self, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        digest = hashlib.sha256(b"listed twice").hexdigest()
+        (root / "pending.json").write_text(f'["{digest}","{digest}"]', encoding="ascii")
+        res = run_kary(root, "mine")
+        assert res.returncode == 1, res.stderr
+        assert "ledger rejected" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (root / "ledger.jsonl").exists()
 
 
 class TestWorkspaceConfig:

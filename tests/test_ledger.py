@@ -198,13 +198,6 @@ class TestMining:
         with pytest.raises(EmptyPoolError):
             ledger.mine_block(now=1)
 
-    def test_empty_blocks_allowed_when_configured(self):
-        ledger = Ledger(difficulty=0, allow_empty_blocks=True)
-        block, receipts = ledger.mine_block(now=1)
-        assert block.tx_digests == ()
-        assert receipts == []
-        assert ledger.validate_chain()
-
     def test_difficulty_zero_accepts_nonce_zero(self):
         ledger = Ledger(difficulty=0)
         ledger.submit_anchor(h(b"x"))
@@ -257,37 +250,41 @@ class TestMining:
 
 
 # (pool size, difficulty, nonce, block hash, SHA-256 of every receipt's
-# canonical JSON in pool order), computed with a miner that built a validated
-# Block per nonce and rebuilt the Merkle tree per receipt
+# canonical JSON in pool order, SHA-256 of the block's chain line), computed
+# with a miner that built a validated Block per nonce and rebuilt the Merkle
+# tree per receipt, and with hand-written JSON codecs for blocks and receipts
 GOLDEN_BLOCKS = [
-    (1, 0, 0, "33fb7ab433a114781f4dd1f8837e8571175b6f8329fbb1557b861fcdb46a54e4", "3953786f5608db5612c8e62bf72b16d8842c0e11aa5b78b9b619e4e4c0b37be7"),
-    (1, 8, 348, "00a7d10f9242da2d85d228126905097d5142fa646bf68898078bb85c22ba07d2", "bf205cf045ae354182dc909cca5b5c5b26af8433aa314fa4f693cf92797105e3"),
-    (1, 12, 12648, "000fe986d6704d43e4ae753add083dae3c6b472b31295eaef3506c7aa1a6be0e", "448b0630cee098cbcf8cfb52a8a62beef3172daf60d49b9703ca1fc4f04a1360"),
-    (2, 0, 0, "d95d74ba9e1af48af150b8487341e3b86c66a86dbb0277b982b49d10f4e2ff19", "1c7822eece9fdec9e1c53aed84bd6bd3e1612392d538ee906a3c67cbe38465c6"),
-    (2, 8, 345, "00f7570e07ea85d67a998f0c87003a04bff1dc2e79e0e57921626f95bd6ddbac", "e2accaa29678e44362c20693287b4dab7c16046ed7cf6c75d1c896aed0c2a9ac"),
-    (2, 12, 5374, "000f42d31cb0a0e939f083514971c2f699e07897395fe22314166ce1f5169ca8", "212d7277baefd84c4b51bbcc00dd9a1adef67057eaa38f6a7b840cd7b645737b"),
-    (3, 0, 0, "317421b76f0b89a235eaccec02a1c89f9eeb00ef8a528d1ec6a6851e7ee1e7df", "63057c592b5ba39d47cf2ec43ffacda63f2360fc82b9c8d8a5e230a1f10f9147"),
-    (3, 8, 484, "00765acf8f6b9e3832fad0231eec33dd2ab991b84ddb6c905d7775e48c8fc97f", "930ae1604ab8ae69fd18e67cadd98c952b57b401cadf9a05fdc76a4ac0799493"),
-    (3, 12, 3830, "0002357146c28ece15f07527953daf43d4fad01d83d6f5a49c55f0101929ab2d", "2153798c605ddec26607fa7310d98dd7610531c05eb3cac5a3c8b31eb364fd94"),
-    (17, 0, 0, "dcd1a26650911ef354f89a7902715fd1f1c489156002d211292b0d327f3da945", "7c5e5279bfd77e62ac2dbf69bf74f80dd12f7739999d363e8cd7e4d76ed49a02"),
-    (17, 8, 1191, "0012b602c30883703febce00036438162a0946a735534a4a7c94fa8b56e4bee4", "961bc47d8eacf085504a41d9e57e5b9932b31290d1102b1b3194e5e1d588b026"),
-    (17, 12, 3179, "000978903a928768c73a642a23b6f09f2102cd0fd8f257e7e20e7cca5f6c0722", "a856a5395104b151d4042fc8ecb120a53acc71f51b14282709d72ae5c02c3500"),
-    (160, 0, 0, "832521a2d02b54b3cd37f84978d4c5036e75bdf6f2acfba16852244a016b3c25", "97b893c60914566f933367d7083abcfa55a1ff86db7650ba2569bc433a166e80"),
-    (160, 8, 1672, "0061c00d3699d0052ec6714a965120bcce1724338efdffea39ef11838919ffa7", "c7a66fa663df373bbcfcd257cc3173e8f7829989a2b5bd675f31c0ff5faab4fd"),
-    (160, 12, 325, "00002c9819129d29e0e6113c39639af1d5ef0c26ea3b0b79f20b6ff470716135", "84e99ade9e03e10d8f9d1149ef12f0c00f4d9dc99b7e5a68f165323e1e4cec8c"),
-    (256, 0, 0, "69a7868d3027936e9e78b9faacb879e2609d0fd6bf527363f93eb44726492240", "ea635ad7c38e9248b05fb65d5b72e1f51f017b71891a03209e1025e715981a73"),
-    (256, 8, 359, "00a5dcd13ffe09683d48ce263b83b3dbffe279631ecaafe8dbc5352a33a3b024", "8c40054e4d31601f0c50034ab531d9c2e4c098ccef1782ff3b93e65fd78866b8"),
-    (256, 12, 1908, "000f1095ea29091db985e86a53d6fa8e6fa048385730b617f39205e35d909f0b", "31f54e89adecb93a0ad1d73f4220326710bcb0e2d7139c39270a5eef7b123d3d"),
+    (1, 0, 0, "33fb7ab433a114781f4dd1f8837e8571175b6f8329fbb1557b861fcdb46a54e4", "3953786f5608db5612c8e62bf72b16d8842c0e11aa5b78b9b619e4e4c0b37be7", "645051f4a2817e9f001ca17f6946f1aaa1d944c3319bc6e27e1573ad00168cfc"),
+    (1, 8, 348, "00a7d10f9242da2d85d228126905097d5142fa646bf68898078bb85c22ba07d2", "bf205cf045ae354182dc909cca5b5c5b26af8433aa314fa4f693cf92797105e3", "338ed7eeedcc030a22e6f3abfce9be01e07141ed0848e27a8a2abc7ae3f4331b"),
+    (1, 12, 12648, "000fe986d6704d43e4ae753add083dae3c6b472b31295eaef3506c7aa1a6be0e", "448b0630cee098cbcf8cfb52a8a62beef3172daf60d49b9703ca1fc4f04a1360", "a3bc1975ba3a76c914c0069d523099ec9e2cba897d0c7ab12caff348cdbbbf16"),
+    (2, 0, 0, "d95d74ba9e1af48af150b8487341e3b86c66a86dbb0277b982b49d10f4e2ff19", "1c7822eece9fdec9e1c53aed84bd6bd3e1612392d538ee906a3c67cbe38465c6", "109f18c467d24aca23816590140d9a1a70095e2e9b25eca2567c9b56935ea093"),
+    (2, 8, 345, "00f7570e07ea85d67a998f0c87003a04bff1dc2e79e0e57921626f95bd6ddbac", "e2accaa29678e44362c20693287b4dab7c16046ed7cf6c75d1c896aed0c2a9ac", "b59d589c09e67fce0e902ee64e4b699f5822aa24e700af0630bda86ccc4dd218"),
+    (2, 12, 5374, "000f42d31cb0a0e939f083514971c2f699e07897395fe22314166ce1f5169ca8", "212d7277baefd84c4b51bbcc00dd9a1adef67057eaa38f6a7b840cd7b645737b", "25bf105e5d080195f61f9285b95877dda9effcf95988b0fc12b29f186e4aaaec"),
+    (3, 0, 0, "317421b76f0b89a235eaccec02a1c89f9eeb00ef8a528d1ec6a6851e7ee1e7df", "63057c592b5ba39d47cf2ec43ffacda63f2360fc82b9c8d8a5e230a1f10f9147", "752c4134b4cfdb13877cccfdb2a7a51fd8680d9b2c9841a106b641b5953694b3"),
+    (3, 8, 484, "00765acf8f6b9e3832fad0231eec33dd2ab991b84ddb6c905d7775e48c8fc97f", "930ae1604ab8ae69fd18e67cadd98c952b57b401cadf9a05fdc76a4ac0799493", "53c294b380bd67b29a203bbd7c2e6823a762f7722c9ca741c1ed4c32b18b30b9"),
+    (3, 12, 3830, "0002357146c28ece15f07527953daf43d4fad01d83d6f5a49c55f0101929ab2d", "2153798c605ddec26607fa7310d98dd7610531c05eb3cac5a3c8b31eb364fd94", "11cd644e1303261c8fb856b6123064a9fe0c0329d302d34c65c5bce29260068b"),
+    (17, 0, 0, "dcd1a26650911ef354f89a7902715fd1f1c489156002d211292b0d327f3da945", "7c5e5279bfd77e62ac2dbf69bf74f80dd12f7739999d363e8cd7e4d76ed49a02", "48663e43040006be0c74b4566b2485a9afd774f7f3e83fb7473f0a0518c16af7"),
+    (17, 8, 1191, "0012b602c30883703febce00036438162a0946a735534a4a7c94fa8b56e4bee4", "961bc47d8eacf085504a41d9e57e5b9932b31290d1102b1b3194e5e1d588b026", "cc4158974c70bf714383896f350c611be45c21c7989dc2028f3f06c869e2220d"),
+    (17, 12, 3179, "000978903a928768c73a642a23b6f09f2102cd0fd8f257e7e20e7cca5f6c0722", "a856a5395104b151d4042fc8ecb120a53acc71f51b14282709d72ae5c02c3500", "3d5fe6f0d4f696b6d1eec454e5afe4634834d4c2cf4d65b0c55a4e20d4011f7a"),
+    (160, 0, 0, "832521a2d02b54b3cd37f84978d4c5036e75bdf6f2acfba16852244a016b3c25", "97b893c60914566f933367d7083abcfa55a1ff86db7650ba2569bc433a166e80", "82a4c8c541f091e3a033016106ac7892fffc5b844c7e42145ad84aaeffa3bbe5"),
+    (160, 8, 1672, "0061c00d3699d0052ec6714a965120bcce1724338efdffea39ef11838919ffa7", "c7a66fa663df373bbcfcd257cc3173e8f7829989a2b5bd675f31c0ff5faab4fd", "990e14abf7a44e2a8d6631c438a4802cade5a1fc7d38f1b5756020aee5a7a2bd"),
+    (160, 12, 325, "00002c9819129d29e0e6113c39639af1d5ef0c26ea3b0b79f20b6ff470716135", "84e99ade9e03e10d8f9d1149ef12f0c00f4d9dc99b7e5a68f165323e1e4cec8c", "de9efc37f93046eb18f28bc2d4c7cb31229711029dca48ae5d6e721e684fb718"),
+    (256, 0, 0, "69a7868d3027936e9e78b9faacb879e2609d0fd6bf527363f93eb44726492240", "ea635ad7c38e9248b05fb65d5b72e1f51f017b71891a03209e1025e715981a73", "2f5509472dd4e44553fb78190def6cd06b1370c6f8f0667e1cc33304176be7aa"),
+    (256, 8, 359, "00a5dcd13ffe09683d48ce263b83b3dbffe279631ecaafe8dbc5352a33a3b024", "8c40054e4d31601f0c50034ab531d9c2e4c098ccef1782ff3b93e65fd78866b8", "1eace936ca0586829e4c81259ff676062e68e2bc2e1f0bb5c8f8835ea0045f89"),
+    (256, 12, 1908, "000f1095ea29091db985e86a53d6fa8e6fa048385730b617f39205e35d909f0b", "31f54e89adecb93a0ad1d73f4220326710bcb0e2d7139c39270a5eef7b123d3d", "8e6e7902ea982b6178b1c92a12ab348f2f87c7b80d049f59fc47f325cbd38986"),
 ]
 
 
 @pytest.mark.parametrize(
-    "n, difficulty, nonce, block_hex, receipts_hex",
+    "n, difficulty, nonce, block_hex, receipts_hex, line_hex",
     GOLDEN_BLOCKS,
     ids=[f"{n}tx-d{d}" for n, d, *_ in GOLDEN_BLOCKS],
 )
-def test_mined_block_and_receipts_are_pinned(n, difficulty, nonce, block_hex, receipts_hex):
-    ledger = Ledger(difficulty=difficulty)
+def test_mined_block_and_receipts_are_pinned(
+    tmp_path, n, difficulty, nonce, block_hex, receipts_hex, line_hex
+):
+    chain = tmp_path / "chain.jsonl"
+    ledger = Ledger(path=chain, difficulty=difficulty)
     for i in range(n):
         ledger.submit_anchor(h(b"golden-%d" % i))
     block, receipts = ledger.mine_block(now=1_700_000_000 + n)
@@ -295,6 +292,8 @@ def test_mined_block_and_receipts_are_pinned(n, difficulty, nonce, block_hex, re
     assert block_hash(block).hex() == block_hex
     joined = b"".join(canonical_bytes(r.to_json_dict()) for r in receipts)
     assert h(joined).hex() == receipts_hex
+    line = chain.read_bytes().split(b"\n")[1] + b"\n"
+    assert h(line).hex() == line_hex
     assert ledger.validate_chain()
 
 
@@ -507,6 +506,17 @@ class TestPersistence:
             ledger.mine_block(now=i)
         reloaded = Ledger(path=path, difficulty=6)
         assert reloaded.blocks == ledger.blocks
+        assert reloaded.validate_chain()
+
+    def test_stored_empty_block_loads_and_audits(self, tmp_path):
+        # mining refuses an empty pool, but a chain may still hold empty blocks
+        path = tmp_path / "chain.jsonl"
+        Ledger(path=path, difficulty=0)
+        empty = Block(1, block_hash(GENESIS), bytes(32), 5, 0, 0, ())
+        with path.open("a", encoding="ascii") as fh:
+            fh.write(ledger_module._block_line(empty))
+        reloaded = Ledger(path=path, difficulty=0)
+        assert reloaded.blocks == (GENESIS, empty)
         assert reloaded.validate_chain()
 
     def test_single_byte_mutations_detected(self, tmp_path, rng):
