@@ -10,17 +10,20 @@ rejected rather than silently normalized.
 declare their fields once, in a `FIELDS` table mapping each field name to a
 kind (`IntRange`, `Hex`, `HexList`, `EnumName`, `MerklePath`). The table
 gives each record its construction checks, `to_json_dict` and
-`from_json_dict`, so a record built in Python obeys exactly what the reader
-accepts. A kind's `check` judges a Python value (type, range, width),
-`encode` writes it as JSON, and `decode` reads it back, judging only its
-JSON encoding (a string of lowercase hex, a known enum name). Each value
-is checked once, by `check`, however the record is made.
+`from_json_dict` (`from_json_dicts` for many records at once), so a record
+built in Python obeys exactly what the reader accepts. A kind's `check`
+judges a Python value (type, range, width), `encode` writes it as JSON, and
+`decode` reads it back, judging only its JSON encoding (a string of
+lowercase hex, a known enum name). Each value is checked once, however the
+record is made: by `check`, or by a kind's `decode_many`, which judges a
+whole column as `check(decode(raw))` would judge each value.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 from typing import Any, ClassVar, TypeVar
 
@@ -47,19 +50,32 @@ def canonical_loads_strict(text: str) -> Any:
     """Parse JSON and require the input to be byte-identical to canonical form."""
     try:
         obj = json.loads(text)
+        canonical = canonical_dumps(obj)
     except json.JSONDecodeError as exc:
         raise CanonicalJsonError(f"invalid JSON: {exc}") from exc
-    if canonical_dumps(obj) != text:
+    except RecursionError:
+        raise CanonicalJsonError("JSON nests too deeply") from None
+    if canonical != text:
         raise CanonicalJsonError("document is not in canonical JSON form")
     return obj
 
 
 # ---------------------------------------------------------------------------
 # Field kinds: `check` returns the value (a sequence as a tuple) or raises
-# ValueError.
+# ValueError. `decode_many` decodes and checks one field of many records at
+# once, as `check(decode(raw))` per value would; a kind with a faster way
+# for a whole column overrides it, and falls back to this per-value loop
+# whenever its shortcut cannot prove every value good, so that a bad value
+# raises the same error either way.
 
 
-class IntRange:
+class _Kind:
+    def decode_many(self, raws: list[Any], name: str) -> list[Any]:
+        check, decode = self.check, self.decode
+        return [check(decode(raw, name), name) for raw in raws]
+
+
+class IntRange(_Kind):
     """An integer in lo..hi; bools and floats are refused."""
 
     def __init__(self, lo: int, hi: int):
@@ -76,6 +92,14 @@ class IntRange:
     def decode(self, raw: Any, name: str) -> Any:
         return raw
 
+    def decode_many(self, raws: list[Any], name: str) -> list[Any]:
+        # type() is exact, so bools (a subclass of int) fail the test
+        if not raws or (
+            set(map(type, raws)) == {int} and self.lo <= min(raws) and max(raws) <= self.hi
+        ):
+            return raws
+        return super().decode_many(raws, name)
+
 
 def _unhex(raw: Any, name: str) -> bytes:
     # canonical hex is exactly what bytes.hex() writes: lowercase, unseparated
@@ -90,7 +114,22 @@ def _unhex(raw: Any, name: str) -> bytes:
     raise ValueError(f"{name} must be a lowercase hex string, got {raw!r}")
 
 
-class Hex:
+def _unhex_many(raws: list[Any], width: int) -> list[bytes] | None:
+    """Every entry decoded if each is exactly `width` bytes of lowercase hex,
+    else None. Encoding the joined values back and comparing refuses upper
+    case and the whitespace `bytes.fromhex` skips."""
+    try:
+        values = list(map(bytes.fromhex, raws))
+    except (TypeError, ValueError):
+        return None
+    if values and set(map(len, values)) != {width}:
+        return None
+    if b"".join(values).hex() != "".join(raws):
+        return None
+    return values
+
+
+class Hex(_Kind):
     """Bytes of a fixed width, written as lowercase hex."""
 
     def __init__(self, width: int):
@@ -107,8 +146,12 @@ class Hex:
     def decode(self, raw: Any, name: str) -> bytes:
         return _unhex(raw, name)
 
+    def decode_many(self, raws: list[Any], name: str) -> list[bytes]:
+        values = _unhex_many(raws, self.width)
+        return super().decode_many(raws, name) if values is None else values
 
-class HexList:
+
+class HexList(_Kind):
     """A tuple of fixed-width byte strings, written as a list of lowercase hex."""
 
     def __init__(self, width: int):
@@ -129,8 +172,20 @@ class HexList:
             raise ValueError(f"{name} must be a list")
         return tuple([_unhex(item, name) for item in raw])
 
+    def decode_many(self, raws: list[Any], name: str) -> list[tuple[bytes, ...]]:
+        values = None
+        if set(map(type, raws)) <= {list}:
+            values = _unhex_many(list(itertools.chain.from_iterable(raws)), self.width)
+        if values is None:
+            return super().decode_many(raws, name)
+        out, start = [], 0
+        for end in itertools.accumulate(map(len, raws)):
+            out.append(tuple(values[start:end]))
+            start = end
+        return out
 
-class EnumName:
+
+class EnumName(_Kind):
     """A member of an enum, written as its name."""
 
     def __init__(self, enum_cls: type[enum.Enum]):
@@ -151,7 +206,7 @@ class EnumName:
         return member
 
 
-class MerklePath:
+class MerklePath(_Kind):
     """A tuple of (sibling digest, side) steps, written as a list of
     {"sibling": hex, "side": name} objects."""
 
@@ -196,17 +251,16 @@ class Record:
     """
 
     FIELDS: ClassVar[dict[str, Any]]
-    _codecs: ClassVar[tuple[tuple[str, Any, Any], ...]]
+    _checks: ClassVar[tuple[tuple[str, Any], ...]]
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        # bound once per class: mining builds a receipt per anchored digest
-        # and a chain load decodes a block per line, and looking the kind's
-        # methods up per field made both measurably slower
-        cls._codecs = tuple((name, kind.check, kind.decode) for name, kind in cls.FIELDS.items())
+        # bound once per class: mining builds a receipt per anchored digest,
+        # and looking the kind's method up per field made it measurably slower
+        cls._checks = tuple((name, kind.check) for name, kind in cls.FIELDS.items())
 
     def __post_init__(self) -> None:
-        for name, check, _ in self._codecs:
+        for name, check in self._checks:
             value = getattr(self, name)
             checked = check(value, name)
             if checked is not value:
@@ -221,15 +275,29 @@ class Record:
 
     @classmethod
     def from_json_dict(cls: type[R], obj: Any) -> R:
-        if type(obj) is not dict or obj.keys() != cls.FIELDS.keys():
-            raise CanonicalJsonError(f"{cls.__name__} has missing or unknown fields")
-        # each value is checked here once, so __init__, which would check it
-        # again, is skipped: a chain load decodes a block per line
-        record = object.__new__(cls)
+        return cls.from_json_dicts([obj])[0]
+
+    @classmethod
+    def from_json_dicts(cls: type[R], objs: list[Any]) -> list[R]:
+        """The records the JSON objects encode, decoded one field at a time
+        across all of them: a chain load decodes thousands of blocks. Each
+        value is checked here once, by its kind's `decode_many`, so
+        `__init__`, which would check it again, is skipped."""
+        keys = cls.FIELDS.keys()
+        for obj in objs:
+            if type(obj) is not dict or obj.keys() != keys:
+                raise CanonicalJsonError(f"{cls.__name__} has missing or unknown fields")
+        records, new, names = [], object.__new__, tuple(keys)
         try:
-            for name, check, decode in cls._codecs:
-                record.__dict__[name] = check(decode(obj[name], name), name)
-            record._check_together()
+            columns = [
+                kind.decode_many([obj[name] for obj in objs], name)
+                for name, kind in cls.FIELDS.items()
+            ]
+            for values in zip(*columns):
+                record = new(cls)
+                record.__dict__.update(zip(names, values))
+                record._check_together()
+                records.append(record)
         except ValueError as exc:
             raise CanonicalJsonError(str(exc)) from exc
-        return record
+        return records

@@ -89,6 +89,8 @@ class WorkspaceConfig:
                 defaults = json.loads(config_path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise click.UsageError(f"cannot read {config_path}: {exc}")
+            except RecursionError:
+                raise click.UsageError(f"{config_path} nests too deeply") from None
             if not isinstance(defaults, dict):
                 raise click.UsageError(f"{config_path} must hold a JSON object")
         config_difficulty = _config_int(defaults, "difficulty", MAX_CLI_DIFFICULTY, config_path)

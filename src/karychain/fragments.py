@@ -356,9 +356,19 @@ def build_fragments(
         raise ValueError(
             f"expected {manifest.k} slices and shares, got {len(slices)} and {len(shares)}"
         )
-    digests = [sha256(s) for s in slices]
-    if tuple(digests) != manifest.slice_digests:
+    if tuple(sha256(s) for s in slices) != manifest.slice_digests:
         raise ValueError("slice digests do not match the manifest")
+    return _serialize_fragments(slices, shares, manifest)
+
+
+def _serialize_fragments(
+    slices: Sequence[bytes],
+    shares: Sequence[Any],
+    manifest: PayloadManifest,
+) -> list[bytes]:
+    """`build_fragments` for slices whose digests the manifest was just
+    built from, so they are not hashed again."""
+    digests = manifest.slice_digests
     blobs = []
     for i, (piece, share) in enumerate(zip(slices, shares), start=1):
         if share.x != i:

@@ -23,7 +23,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .canonical import (
     DIGEST,
@@ -256,10 +256,10 @@ class Ledger:
         self._blocks: list[Block] = []
         # insertion-ordered, so membership is O(1) and the order is kept
         self._pending: dict[bytes, None] = {}
-        # tip block and tip hash of the last clean audit
-        self._audited: tuple[Block, bytes] | None = None
+        # (block, block hash) by height, for the blocks of the last clean audit
+        self._audited: list[tuple[Block, bytes]] = []
         if self.path is not None and self.path.exists():
-            self._blocks = list(_load_chain_file(self.path))
+            self._blocks = _load_chain_file(self.path)
             if not self._blocks:
                 raise LedgerError(f"ledger file {self.path} is empty")
         # read before the genesis write below, so a refused pool leaves no
@@ -342,12 +342,14 @@ class Ledger:
             return VerifyResult(False, "target-mismatch")
         if apply_merkle_path(digest, receipt.merkle_path) != receipt.merkle_root:
             return VerifyResult(False, "path-mismatch")
+        height = receipt.block_height
         with self._lock:
-            if not 0 <= receipt.block_height < len(self._blocks):
+            if not 0 <= height < len(self._blocks):
                 return VerifyResult(False, "no-such-block")
-            block = self._blocks[receipt.block_height]
-            prev = self._blocks[receipt.block_height - 1] if receipt.block_height > 0 else None
-        bh = block_hash(block)
+            block = self._blocks[height]
+            prev = self._blocks[height - 1] if height > 0 else None
+            audited = self._audited
+        bh = _hash_of(block, height, audited)
         if bh != receipt.block_hash:
             return VerifyResult(False, "block-hash-mismatch")
         if block.merkle_root != receipt.merkle_root:
@@ -355,7 +357,7 @@ class Ledger:
         if not meets_difficulty(bh, block.difficulty):
             return VerifyResult(False, "pow-unsatisfied")
         if prev is not None:
-            if block.prev_hash != block_hash(prev):
+            if block.prev_hash != _hash_of(prev, height - 1, audited):
                 return VerifyResult(False, "chain-link-broken")
         elif block.prev_hash != ZERO32:
             return VerifyResult(False, "chain-link-broken")
@@ -370,11 +372,11 @@ class Ledger:
     def validate_chain(self) -> bool:
         """Audit the stored blocks: invariants, heights, and hash links.
 
-        A clean audit remembers its tip block and tip hash. While that block
-        is still stored at its height, later calls audit only the blocks
-        appended since; otherwise they audit the whole chain. The whole
-        block is compared, not its hash: the header does not cover the
-        tx list.
+        A clean audit remembers every block it audited with its hash. While
+        the tip it audited is still stored at its height, later calls audit
+        only the blocks appended since; otherwise they audit the whole
+        chain. The whole tip is compared, not its hash: the header does not
+        cover the tx list.
         """
         with self._lock:
             blocks = list(self._blocks)
@@ -382,12 +384,13 @@ class Ledger:
         if not blocks:
             return False
         start, prev = 0, ZERO32
-        if audited is not None:
-            tip, tip_hash = audited
+        if audited:
+            tip, tip_hash = audited[-1]
             if tip.height < len(blocks) and blocks[tip.height] == tip:
                 start, prev = tip.height + 1, tip_hash
         if start == 0 and (blocks[0].tx_digests or blocks[0].merkle_root != ZERO32):
             return False
+        hashes = audited[:start]
         for i in range(start, len(blocks)):
             block = blocks[i]
             if block.height != i or block.prev_hash != prev:
@@ -397,8 +400,9 @@ class Ledger:
             prev = block_hash(block)
             if not meets_difficulty(prev, block.difficulty):
                 return False
+            hashes.append((block, prev))
         with self._lock:
-            self._audited = (blocks[-1], prev)
+            self._audited = hashes
         return True
 
     def _write_pending_locked(self) -> None:
@@ -409,24 +413,91 @@ class Ledger:
         self.pending_path.write_text(text, encoding="ascii")
 
 
+def _hash_of(block: Block, height: int, audited: list[tuple[Block, bytes]]) -> bytes:
+    """The block's hash, as the last clean audit computed it if that audit
+    saw this very block object at this height, else computed afresh."""
+    if height < len(audited):
+        seen, bh = audited[height]
+        if seen is block:
+            return bh
+    return block_hash(block)
+
+
 def _block_line(block: Block) -> str:
     return canonical_dumps(block.to_json_dict()) + "\n"
 
 
-def _load_chain_file(path: Path) -> Iterator[Block]:
+# A chain file is parsed one chunk of whole lines at a time, each chunk as
+# one JSON array of at most this many characters (a longer line is a chunk
+# of its own), so that loading holds one chunk's parsed objects at a time
+# beside the blocks: a whole-file parse raised peak memory by megabytes.
+_CHUNK_CHARS = 64 * 1024
+# Every canonical block line starts with its first sorted key and ends with
+# the list of its last one, tx_digests.
+_LINE_HEAD = '{"%s":' % min(Block.FIELDS)
+_LINE_TAIL = "]}"
+_LINE_JOIN = _LINE_TAIL + "\n" + _LINE_HEAD
+
+
+def _load_chain_file(path: Path) -> list[Block]:
     try:
-        raw = path.read_text(encoding="ascii")
+        # decoded from bytes: read_text would turn "\r\n" and "\r" into "\n"
+        raw = path.read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise LedgerError(f"ledger file is not ASCII: {exc}") from exc
     if raw and not raw.endswith("\n"):
         raise LedgerError("ledger file must end with a newline")
+    blocks: list[Block] = []
+    pos, lineno = 0, 1
+    while pos < len(raw):
+        end = raw.rfind("\n", pos, pos + _CHUNK_CHARS)
+        if end < pos:
+            end = raw.index("\n", pos)  # one line longer than a chunk
+        chunk = raw[pos:end]
+        lines = chunk.count("\n") + 1
+        blocks += _parse_chunk(chunk, lines) or _parse_lines(chunk, lineno)
+        pos, lineno = end + 1, lineno + lines
+    return blocks
+
+
+def _parse_chunk(chunk: str, lines: int) -> list[Block] | None:
+    """The blocks of newline-separated lines, with one strict parse of them
+    all as a JSON array; None if they are not one canonical block per line.
+
+    The array can be canonical while its lines are not: a newline moved into
+    a tx_digests list, with a comma moved to the line's end, leaves the
+    joined text unchanged. Once every object has decoded as a block, every
+    line starting with a block's first key pins each line start to a block
+    start, since no object opens inside a block, and as many blocks as
+    lines leaves no block to span a line break.
+    """
+    if not (
+        chunk.startswith(_LINE_HEAD)
+        and chunk.endswith(_LINE_TAIL)
+        and chunk.count(_LINE_JOIN) == lines - 1
+    ):
+        return None
+    try:
+        objs = canonical_loads_strict("[" + chunk.replace("\n", ",") + "]")
+        if len(objs) != lines:
+            return None
+        return Block.from_json_dicts(objs)
+    except CanonicalJsonError:
+        return None
+
+
+def _parse_lines(chunk: str, first_lineno: int) -> list[Block]:
+    """The blocks of newline-separated lines, one strict parse per line, so
+    that a refusal names its line."""
+    blocks = []
     # split on "\n" alone: splitlines() also breaks on \v, \f, and friends,
     # which would let a mutated separator byte pass unnoticed
-    for lineno, line in enumerate(raw[:-1].split("\n"), start=1):
+    for lineno, line in enumerate(chunk.split("\n"), start=first_lineno):
         try:
-            yield Block.from_json_dict(canonical_loads_strict(line))
+            blocks.append(Block.from_json_dict(canonical_loads_strict(line)))
         except CanonicalJsonError as exc:
             raise LedgerError(f"ledger line {lineno}: {exc}") from exc
+    return blocks
 
 
 def _load_pending_file(path: Path) -> dict[bytes, None]:

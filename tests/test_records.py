@@ -201,3 +201,52 @@ def test_bad_field_is_refused_in_python_and_in_json(cls, field, py_bad, json_bad
     assert canonical_loads_strict(text) == obj
     with pytest.raises(CanonicalJsonError):
         cls.from_json_dict(canonical_loads_strict(text))
+
+
+# JSON values that a whole-column decode could let through where a value at
+# a time does not: whitespace that bytes.fromhex skips, upper case, a bool
+# among integers, and list entries of the wrong width that together make
+# whole digests
+TRICKY = [
+    (Block, "prev_hash", " " + H32 + " "),
+    (Block, "merkle_root", H32[:-2] + "AB"),
+    (Block, "nonce", False),
+    (Block, "tx_digests", [H32[:62], H32 + "ab"]),
+    (Block, "tx_digests", [H32, H32[:-2] + " ab"]),
+    (Block, "tx_digests", [H32 + H32]),
+    (Block, "tx_digests", [[H32]]),
+    (AnchorReceipt, "block_hash", H32[:-1] + "g"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, json_bad",
+    [(cls, field, json_bad) for cls, field, _, json_bad in BAD] + TRICKY,
+    ids=[f"{row[0].__name__}-{row[1]}-{i}" for i, row in enumerate(BAD + TRICKY)],
+)
+def test_bad_field_is_refused_among_many(cls, field, json_bad):
+    good = cls(**BASE[cls]).to_json_dict()
+    bad = dict(good)
+    if json_bad is MISSING:
+        del bad[field]
+    else:
+        bad[field] = json_bad
+    with pytest.raises(CanonicalJsonError) as alone:
+        cls.from_json_dict(bad)
+    with pytest.raises(CanonicalJsonError) as many:
+        cls.from_json_dicts([good, bad, good])
+    assert str(many.value) == str(alone.value)
+
+
+@given(
+    st.one_of(
+        st.lists(blocks, max_size=8).map(lambda rs: (Block, rs)),
+        st.lists(receipts, max_size=4).map(lambda rs: (AnchorReceipt, rs)),
+        st.lists(manifests(), max_size=3).map(lambda rs: (PayloadManifest, rs)),
+    )
+)
+def test_many_records_decode_as_each_alone(case):
+    cls, records = case
+    objs = [canonical_loads_strict(canonical_dumps(r.to_json_dict())) for r in records]
+    decoded = cls.from_json_dicts(objs)
+    assert decoded == [cls.from_json_dict(obj) for obj in objs] == records

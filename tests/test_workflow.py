@@ -354,6 +354,17 @@ class TestGateWork:
         monkeypatch.setattr(fragments_module, "sha256", counting_sha256)
         return seen
 
+    def test_produce_hashes_each_byte_three_times(self, counted):
+        # the plaintext, the ciphertext and its slices, once each
+        manifest, frags = produce(
+            self.PAYLOAD, 16, 16, ClassCode.I_A, KeyScheme.SHAMIR,
+            PartitionStrategy.INTERLEAVE, rng=random.Random(3),
+        )
+        ciphertext_len = len(self.PAYLOAD) + 16
+        assert sum(map(len, counted["hashed"])) == len(self.PAYLOAD) + 2 * ciphertext_len
+        slices = [parse_fragment(b).slice for b in frags]
+        assert Counter(counted["hashed"]) & Counter(slices) == Counter(slices)
+
     def test_assemble_parses_each_blob_once(self, env, counted):
         manifest, frags, receipts, ledger = env
         payload, _ = assemble(frags, manifest, receipts, ledger)
