@@ -17,9 +17,10 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import click
 
@@ -30,10 +31,9 @@ from .fragments import (
     KeyScheme,
     PartitionStrategy,
     PayloadManifest,
-    parse_fragment,
+    parse_fragment,  # noqa: F401  (karybench's tracer wraps it under this name)
 )
 from .ledger import (
-    AnchorReceipt,
     DuplicatePendingError,
     EmptyPoolError,
     Ledger,
@@ -110,16 +110,6 @@ class WorkspaceConfig:
             seed=seed,
         )
 
-    def open_ledger(self) -> Ledger:
-        return Ledger(
-            path=self.ledger_path,
-            pending_path=self.pending_path,
-            difficulty=self.difficulty,
-        )
-
-    def receipt_store(self) -> ReceiptStore:
-        return ReceiptStore(self.receipts_dir)
-
 
 def _config_int(defaults: dict, key: str, upper: int, path: Path) -> int | None:
     """An optional integer field of config.json, in 0..upper (bools refused)."""
@@ -161,35 +151,37 @@ def _write_file(path: Path, data: bytes) -> None:
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
+def _write_json(path: Path, obj: object) -> None:
+    _write_file(path, canonical_dumps(obj).encode("ascii"))
+
+
 def _load_manifest(path: Path) -> PayloadManifest:
-    data = _read_file(path)
     try:
-        return PayloadManifest.from_canonical_bytes(data)
+        return PayloadManifest.from_canonical_bytes(_read_file(path))
     except CanonicalJsonError as exc:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
 
 
 def _open_ledger(cfg: WorkspaceConfig) -> Ledger:
     try:
-        return cfg.open_ledger()
+        return Ledger(
+            path=cfg.ledger_path, pending_path=cfg.pending_path, difficulty=cfg.difficulty
+        )
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot open the ledger: {exc}")
 
 
-def _gather_receipts(
-    store: ReceiptStore, digests: list[bytes]
-) -> dict[bytes, AnchorReceipt]:
-    receipts: dict[bytes, AnchorReceipt] = {}
-    for digest in digests:
-        try:
-            receipt = store.load(digest)
-        except (CanonicalJsonError, ValueError) as exc:
-            _fail(EXIT_GATE_FAILURE, f"receipt for {digest.hex()} rejected: {exc}")
-        if receipt is not None:
-            receipts[digest] = receipt
-    return receipts
+@contextmanager
+def _receipt_errors() -> Iterator[None]:
+    """Exit codes for receipt files that the library gate fails to read."""
+    try:
+        yield
+    except CanonicalJsonError as exc:
+        _fail(EXIT_GATE_FAILURE, str(exc))
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot read a receipt: {exc}")
 
 
 @click.group()
@@ -285,13 +277,16 @@ def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
 def mine(cfg: WorkspaceConfig) -> None:
     """Mine the pending pool into one block and write its receipts."""
     ledger = _open_ledger(cfg)
-    store = cfg.receipt_store()
+    store = ReceiptStore(cfg.receipts_dir)
     try:
         block, receipts = ledger.mine_block(_now())
     except EmptyPoolError as exc:
         _fail(EXIT_EMPTY_POOL, str(exc))
-    for receipt in receipts:
-        store.save(receipt)
+    try:
+        for receipt in receipts:
+            store.save(receipt)
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot write receipts: {exc}")
     click.echo(
         f"mined block {block.height} hash={block_hash(block).hex()} "
         f"nonce={block.nonce} txs={len(block.tx_digests)}"
@@ -300,13 +295,10 @@ def mine(cfg: WorkspaceConfig) -> None:
 
 def _verification(
     cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path, ...]
-) -> tuple[PayloadManifest, list[bytes], dict[bytes, AnchorReceipt], Ledger]:
+) -> tuple[PayloadManifest, list[bytes], ReceiptStore, Ledger]:
     manifest = _load_manifest(manifest_path)
     blobs = [_read_file(p) for p in fragment_paths]
-    ledger = _open_ledger(cfg)
-    digests = [manifest.digest(), *[sha256(b) for b in blobs]]
-    receipts = _gather_receipts(cfg.receipt_store(), digests)
-    return manifest, blobs, receipts, ledger
+    return manifest, blobs, ReceiptStore(cfg.receipts_dir), _open_ledger(cfg)
 
 
 @main.command()
@@ -318,28 +310,13 @@ def verify(cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path
     """Check every fragment and the manifest against the ledger."""
     manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
     chain_ok = ledger.validate_chain()
-    manifest_result = workflow.verify_manifest_anchor(manifest, receipts, ledger)
-    # an unparseable fragment becomes a failing row (reported under its
-    # argument position) instead of aborting the whole table
-    parseable: list[bytes] = []
-    broken: list[workflow.FragmentStatus] = []
-    for position, blob in enumerate(blobs, start=1):
-        try:
-            parse_fragment(blob)
-            parseable.append(blob)
-        except FragmentError as exc:
-            broken.append(
-                workflow.FragmentStatus(
-                    index=position,
-                    anchored=False,
-                    anchor_reason=f"unparseable: {exc}",
-                    slice_ok=False,
-                    deps_ok=False,
-                    consistent=False,
-                )
-            )
-    statuses = workflow.verify_fragments(parseable, manifest, receipts, ledger)
-    rows = sorted((s.to_json_dict() for s in [*statuses, *broken]), key=lambda r: r["index"])
+    with _receipt_errors():
+        manifest_result = workflow.verify_manifest_anchor(manifest, receipts, ledger)
+        statuses = workflow.verify_fragments(blobs, manifest, receipts, ledger)
+    # by index; where an unparseable blob's argument position equals a
+    # parsed fragment's index, the parsed fragment's row comes first
+    statuses.sort(key=lambda s: (s.index, isinstance(s.fragment, FragmentError)))
+    rows = [s.to_json_dict() for s in statuses]
     click.echo(f"chain valid:       {'yes' if chain_ok else 'NO'}")
     click.echo(
         f"manifest anchored: {'yes' if manifest_result.ok else 'NO'}"
@@ -352,7 +329,7 @@ def verify(cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path
             f"{_mark(r['deps_ok']):<5} {_mark(r['consistent'])}"
             + (f"  [{r['anchor_reason']}]" if r["anchor_reason"] else "")
         )
-    all_ok = chain_ok and manifest_result.ok and not broken and all(s.ok for s in statuses)
+    all_ok = chain_ok and manifest_result.ok and all(s.ok for s in statuses)
     report = {
         "chain_valid": chain_ok,
         "manifest_anchored": manifest_result.ok,
@@ -360,7 +337,7 @@ def verify(cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path
         "fragments": rows,
         "all_valid": all_ok,
     }
-    _write_file(cfg.root / "verify_report.json", canonical_dumps(report).encode("ascii"))
+    _write_json(cfg.root / "verify_report.json", report)
     sys.exit(EXIT_OK if all_ok else EXIT_GATE_FAILURE)
 
 
@@ -387,17 +364,15 @@ def assemble(
     """Verify, reconstruct the key, and decrypt the payload."""
     manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
     try:
-        payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
+        with _receipt_errors():
+            payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
     except workflow.AssemblyError as exc:
         _fail(EXIT_GATE_FAILURE, f"{type(exc).__name__}: {exc}")
     except FragmentError as exc:
         _fail(EXIT_GATE_FAILURE, f"fragment rejected: {exc}")
     out = out if out is not None else cfg.root / "recovered.bin"
     _write_file(out, payload)
-    _write_file(
-        cfg.root / "assembly_report.json",
-        canonical_dumps(report.to_json_dict()).encode("ascii"),
-    )
+    _write_json(cfg.root / "assembly_report.json", report.to_json_dict())
     click.echo(f"recovered {len(payload)} bytes -> {out}")
 
 
@@ -418,20 +393,15 @@ def run(
     manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
     trace_path = cfg.root / "activation_trace.json"
     try:
-        payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
-        trace = workflow.execute(blobs, manifest)
+        with _receipt_errors():
+            payload, report = workflow.run(blobs, manifest, receipts, ledger, method.upper())
     except (workflow.AssemblyError, workflow.ExecutionError, FragmentError) as exc:
-        _write_file(trace_path, canonical_dumps({"activation_trace": []}).encode("ascii"))
+        _write_json(trace_path, {"activation_trace": []})
         _fail(EXIT_GATE_FAILURE, f"{type(exc).__name__}: {exc}")
-    report.activation_trace = tuple(trace)
-    _write_file(
-        trace_path,
-        canonical_dumps({"activation_trace": [e.to_json_dict() for e in trace]}).encode("ascii"),
-    )
-    _write_file(
-        cfg.root / "assembly_report.json",
-        canonical_dumps(report.to_json_dict()).encode("ascii"),
-    )
+    report_json = report.to_json_dict()
+    trace = report_json["activation_trace"]
+    _write_json(trace_path, {"activation_trace": trace})
+    _write_json(cfg.root / "assembly_report.json", report_json)
     click.echo(f"activated {len(trace)} fragments; payload {len(payload)} bytes verified")
 
 

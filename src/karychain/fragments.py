@@ -90,18 +90,10 @@ class TrailingDataError(FragmentError):
     pass
 
 
-def expected_dep_count(index: int, k: int, class_code: ClassCode) -> int:
-    if class_code is ClassCode.I_A:
-        return k - 1
-    if class_code is ClassCode.I_C:
-        return 1 if index < k else 0
-    return 0
-
-
 def dep_indices(index: int, k: int, class_code: ClassCode) -> tuple[int, ...]:
     """Indices whose slices a fragment's dep digests reference, in dep order."""
     if class_code is ClassCode.I_A:
-        return tuple(i for i in range(1, k + 1) if i != index)
+        return (*range(1, index), *range(index + 1, k + 1))
     if class_code is ClassCode.I_C and index < k:
         return (index + 1,)
     return ()
@@ -127,7 +119,7 @@ class Fragment:
         if not isinstance(self.class_code, ClassCode):
             raise FragmentError(f"unknown class code {self.class_code!r}")
         object.__setattr__(self, "dep_digests", tuple(self.dep_digests))
-        expected = expected_dep_count(self.index, self.k, self.class_code)
+        expected = len(dep_indices(self.index, self.k, self.class_code))
         if len(self.dep_digests) != expected:
             raise FragmentError(
                 f"fragment {self.index}/{self.k} class {self.class_code.name} "
@@ -176,9 +168,7 @@ class _Reader:
             raise LengthOverrunError(
                 f"{what} declares {n} bytes but only {len(self.data) - self.pos} remain"
             )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        return self.take(n, what)
 
 
 def parse_fragment(data: bytes) -> Fragment:

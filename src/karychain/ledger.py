@@ -537,22 +537,12 @@ class ReceiptStore:
         path = self.path_for(digest)
         if not path.exists():
             return None
-        return self._read(path)
-
-    def load_all(self) -> dict[bytes, AnchorReceipt]:
-        """Map of target digest to receipt for every stored receipt file."""
-        out: dict[bytes, AnchorReceipt] = {}
-        if not self.directory.is_dir():
-            return out
-        for path in sorted(self.directory.glob("*.receipt.json")):
-            receipt = self._read(path)
-            out[receipt.target_digest] = receipt
-        return out
-
-    @staticmethod
-    def _read(path: Path) -> AnchorReceipt:
         try:
             text = path.read_text(encoding="ascii")
-        except UnicodeDecodeError as exc:
-            raise CanonicalJsonError(f"receipt file is not ASCII: {exc}") from exc
-        return AnchorReceipt.from_json_dict(canonical_loads_strict(text))
+            return AnchorReceipt.from_json_dict(canonical_loads_strict(text))
+        except (UnicodeDecodeError, CanonicalJsonError) as exc:
+            raise CanonicalJsonError(f"receipt {path.name} rejected: {exc}") from exc
+
+    def get(self, digest: bytes) -> AnchorReceipt | None:
+        """Dict-style lookup, so the store can stand in for a receipts map."""
+        return self.load(digest)

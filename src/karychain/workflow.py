@@ -13,10 +13,11 @@ stored chain must audit clean. Only then is the key reconstructed (Neville
 by default, Lagrange as cross-check), the ciphertext reassembled, and the
 payload decrypted and digest-checked.
 
-The gate does work linear in k: it parses each fragment blob once and hands
-the parsed fragments on to key reconstruction and reassembly, and it hashes
-each slice once (`Fragment.slice_digest` is cached), however many other
-fragments embed that slice's digest.
+The gate does work linear in k: it parses and hashes each fragment blob
+once and hands the parsed fragments on to key reconstruction, reassembly
+and activation (`run`), and it hashes each slice once
+(`Fragment.slice_digest` is cached), however many other fragments embed
+that slice's digest. Receipts come from a dict or a `ReceiptStore`.
 
 Activation follows the class code: Class I runs actions in index order
 (I_A and I_C re-check dependency digests immediately before each
@@ -41,6 +42,7 @@ from .fragments import (
     NONCE_LEN,
     ClassCode,
     Fragment,
+    FragmentError,
     KeyScheme,
     PartitionStrategy,
     PayloadManifest,
@@ -51,7 +53,7 @@ from .fragments import (
     partition_payload,
     unpartition,
 )
-from .ledger import AnchorReceipt, Ledger, VerifyResult
+from .ledger import AnchorReceipt, Ledger, ReceiptStore, VerifyResult
 from .sharing import (
     SecretShare,
     reconstruct_lagrange,
@@ -67,6 +69,7 @@ LAGRANGE = "LAGRANGE"
 NEVILLE = "NEVILLE"
 
 ActionFn = Callable[[Fragment], str | None]
+Receipts = Mapping[bytes, AnchorReceipt] | ReceiptStore
 
 
 class AssemblyError(Exception):
@@ -119,8 +122,8 @@ class FragmentStatus:
     slice_ok: bool
     deps_ok: bool
     consistent: bool
-    # the parsed fragment this status describes, for the later gate stages
-    fragment: Fragment | None = field(default=None, compare=False, repr=False)
+    # the parsed fragment (or the error refusing its blob), for later stages
+    fragment: Fragment | FragmentError | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -225,31 +228,46 @@ def produce(
 def verify_fragments(
     fragment_blobs: Sequence[bytes],
     manifest: PayloadManifest,
-    receipts: Mapping[bytes, AnchorReceipt],
+    receipts: Receipts,
     ledger: Ledger,
 ) -> list[FragmentStatus]:
     """Independently check anchoring, slice digest, and dependency digests.
 
     Receipts are keyed by the SHA-256 of the whole serialized fragment.
     A fragment with no receipt reports anchor_reason "unanchored". Each
-    status carries its parsed fragment.
+    status carries its parsed fragment. A blob that does not parse fails
+    every check under its argument position, with anchor_reason
+    "unparseable: ..." and the FragmentError as its fragment.
     """
-    parsed = [parse_fragment(blob) for blob in fragment_blobs]
+    parsed: list[Fragment | FragmentError] = []
     by_index: dict[int, Fragment] = {}
     duplicates = set()
-    for frag in parsed:
+    for blob in fragment_blobs:
+        try:
+            frag = parse_fragment(blob)
+        except FragmentError as exc:
+            parsed.append(exc)
+            continue
+        parsed.append(frag)
         if frag.index in by_index:
             duplicates.add(frag.index)
         by_index[frag.index] = frag
     statuses = []
-    for blob, frag in zip(fragment_blobs, parsed):
-        digest = sha256(blob)
-        receipt = receipts.get(digest)
-        if receipt is None:
-            anchored, reason = False, "unanchored"
-        else:
-            result = ledger.verify_receipt(digest, receipt)
-            anchored, reason = result.ok, result.reason
+    for position, (blob, frag) in enumerate(zip(fragment_blobs, parsed), start=1):
+        if isinstance(frag, FragmentError):
+            statuses.append(
+                FragmentStatus(
+                    index=position,
+                    anchored=False,
+                    anchor_reason=f"unparseable: {frag}",
+                    slice_ok=False,
+                    deps_ok=False,
+                    consistent=False,
+                    fragment=frag,
+                )
+            )
+            continue
+        anchor = _verify_anchor(sha256(blob), receipts, ledger)
         consistent = (
             frag.k == manifest.k
             and frag.class_code is manifest.class_code
@@ -265,8 +283,8 @@ def verify_fragments(
         statuses.append(
             FragmentStatus(
                 index=frag.index,
-                anchored=anchored,
-                anchor_reason=reason,
+                anchored=anchor.ok,
+                anchor_reason=anchor.reason,
                 slice_ok=slice_ok,
                 deps_ok=deps_ok,
                 consistent=consistent,
@@ -301,11 +319,14 @@ def _parsed(fragments: Sequence[bytes | Fragment]) -> list[Fragment]:
 
 def verify_manifest_anchor(
     manifest: PayloadManifest,
-    receipts: Mapping[bytes, AnchorReceipt],
+    receipts: Receipts,
     ledger: Ledger,
 ) -> VerifyResult:
     """The manifest's canonical digest must itself be anchored and verifiable."""
-    digest = manifest.digest()
+    return _verify_anchor(manifest.digest(), receipts, ledger)
+
+
+def _verify_anchor(digest: bytes, receipts: Receipts, ledger: Ledger) -> VerifyResult:
     receipt = receipts.get(digest)
     if receipt is None:
         return VerifyResult(False, "unanchored")
@@ -352,15 +373,41 @@ def reconstruct_key(
 def assemble(
     fragment_blobs: Sequence[bytes],
     manifest: PayloadManifest,
-    receipts: Mapping[bytes, AnchorReceipt],
+    receipts: Receipts,
     ledger: Ledger,
     method: str = NEVILLE,
 ) -> tuple[bytes, AssemblyReport]:
     """Verify everything, reconstruct the key, reassemble, and decrypt.
 
     Raises a distinct AssemblyError subclass at the first failing gate; the
-    failing fragment indices ride on the exception.
+    failing fragment indices ride on the exception. A blob that does not
+    parse raises its own FragmentError.
     """
+    return _assemble(fragment_blobs, manifest, receipts, ledger, method)[:2]
+
+
+def run(
+    fragment_blobs: Sequence[bytes],
+    manifest: PayloadManifest,
+    receipts: Receipts,
+    ledger: Ledger,
+    method: str = NEVILLE,
+) -> tuple[bytes, AssemblyReport]:
+    """`assemble`, then `execute` the fragments the gate parsed; the report
+    carries the activation trace."""
+    payload, report, parsed = _assemble(fragment_blobs, manifest, receipts, ledger, method)
+    report.activation_trace = tuple(execute(parsed, manifest))
+    return payload, report
+
+
+def _assemble(
+    fragment_blobs: Sequence[bytes],
+    manifest: PayloadManifest,
+    receipts: Receipts,
+    ledger: Ledger,
+    method: str,
+) -> tuple[bytes, AssemblyReport, list[Fragment]]:
+    """The gate behind `assemble` and `run`; also returns the parsed fragments."""
     if method not in (LAGRANGE, NEVILLE):
         raise ValueError(f"unknown reconstruction method {method!r}")
     if not ledger.validate_chain():
@@ -369,11 +416,13 @@ def assemble(
     if not manifest_result:
         raise VerificationFailure(f"manifest anchor invalid: {manifest_result.reason}")
     statuses = verify_fragments(fragment_blobs, manifest, receipts, ledger)
+    for s in statuses:
+        if isinstance(s.fragment, FragmentError):
+            raise s.fragment
     bad = [s.index for s in statuses if not s.ok]
     if bad:
         raise VerificationFailure(f"fragment verification failed for {bad}", indices=bad)
-    present = {s.index for s in statuses}
-    missing = sorted(set(range(1, manifest.k + 1)) - present)
+    missing = sorted(set(range(1, manifest.k + 1)) - {s.index for s in statuses})
     if missing:
         raise InsufficientSlicesError(
             f"fragments {missing} are missing; every slice is required", indices=missing
@@ -396,7 +445,7 @@ def assemble(
         key_method=method,
         decryption_ok=True,
     )
-    return payload, report
+    return payload, report, parsed
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,50 @@ class TestExitCodes:
         assert not (root / "ledger.jsonl").exists()
 
 
+class TestReceiptFiles:
+    """Receipts the gate cannot read map to exit codes, never a traceback."""
+
+    def _fragment_receipt(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        manifest, frags = split_anchor_mine(runner, root, payload_path)
+        digest = hashlib.sha256(frags[2].read_bytes()).hexdigest()
+        receipt = root / "receipts" / f"{digest}.receipt.json"
+        assert receipt.exists()
+        return root, [str(manifest), *map(str, frags)], receipt
+
+    @pytest.mark.parametrize("command", ["verify", "assemble", "run"])
+    def test_receipt_that_is_a_directory_is_io_error(self, runner, tmp_path, command):
+        root, files, receipt = self._fragment_receipt(runner, tmp_path)
+        receipt.unlink()
+        receipt.mkdir()
+        res = run_kary(root, command, *files)
+        assert res.returncode == 3, res.stderr
+        assert receipt.name in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "assemble", "run"])
+    def test_malformed_fragment_receipt_is_named(self, runner, tmp_path, command):
+        root, files, receipt = self._fragment_receipt(runner, tmp_path)
+        receipt.write_text("{}", encoding="ascii")
+        res = run_kary(root, command, *files)
+        assert res.returncode == 1, res.stderr
+        assert receipt.name in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_receipts_path_that_is_a_file_fails_mine_with_io_error(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        res = runner.invoke(main, [*ws_args(root), "anchor", str(payload_path)])
+        assert res.exit_code == 0, res.output
+        (root / "receipts").write_text("", encoding="ascii")
+        res = run_kary(root, "--difficulty", "4", "mine")
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestNestedJson:
     """JSON nested far beyond the parser's recursion limit maps to an exit
     code, wherever the workspace reads JSON."""

@@ -631,8 +631,9 @@ class TestPersistence:
         saved_path = store.save(receipt)
         assert saved_path.name == f"{digest.hex()}.receipt.json"
         assert store.load(digest) == receipt
-        assert store.load_all() == {digest: receipt}
+        assert store.get(digest) == receipt
         assert store.load(h(b"missing")) is None
+        assert store.get(h(b"missing")) is None
 
     def test_non_canonical_ledger_line_rejected(self, tmp_path):
         path = tmp_path / "chain.jsonl"

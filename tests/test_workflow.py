@@ -2,10 +2,13 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from karychain import cli as cli_module
 from karychain import fragments as fragments_module
 from karychain import workflow as workflow_module
 from karychain.fragments import (
@@ -13,6 +16,7 @@ from karychain.fragments import (
     FragmentError,
     KeyScheme,
     PartitionStrategy,
+    TruncatedError,
     parse_fragment,
     sha256,
     unpartition,
@@ -119,6 +123,20 @@ class TestVerifyFragments:
         assert statuses[1].anchor_reason == "unanchored"
         assert statuses[0].ok and statuses[2].ok and statuses[3].ok
 
+    def test_unparseable_blob_fails_at_its_position(self):
+        manifest, frags, receipts, ledger = anchored_env()
+        frags = list(frags)
+        frags[1] = frags[1][:3]
+        statuses = verify_fragments(frags, manifest, receipts, ledger)
+        assert [s.index for s in statuses] == [1, 2, 3, 4]
+        assert statuses[1].to_json_dict() == {
+            "index": 2, "anchored": False,
+            "anchor_reason": "unparseable: fragment ends inside magic",
+            "slice_ok": False, "deps_ok": False, "consistent": False, "ok": False,
+        }
+        assert isinstance(statuses[1].fragment, TruncatedError)
+        assert statuses[0].ok and statuses[2].ok and statuses[3].ok
+
     def _tamper_slice(self, blob):
         frag = parse_fragment(blob)
         bad = bytearray(frag.slice)
@@ -157,6 +175,14 @@ class TestVerifyFragments:
 
 
 class TestAssemble:
+    def test_unparseable_blob_raises_its_own_error(self):
+        manifest, frags, receipts, ledger = anchored_env()
+        frags = list(frags)
+        frags[1] = frags[1][:3]
+        frags[2] = b"XXXX" + frags[2][4:]
+        with pytest.raises(TruncatedError, match="^fragment ends inside magic$"):
+            assemble(frags, manifest, receipts, ledger)
+
     @pytest.mark.parametrize("class_code", list(ClassCode))
     @pytest.mark.parametrize("strategy", list(PartitionStrategy))
     def test_round_trip_all_classes(self, class_code, strategy):
@@ -306,6 +332,33 @@ class TestExecute:
         assert trace[0].note == "fragment 1 activated"
 
 
+class TestRun:
+    @pytest.mark.parametrize("class_code", list(ClassCode))
+    def test_run_is_assemble_then_execute(self, class_code):
+        manifest, frags, receipts, ledger = anchored_env(class_code=class_code)
+        payload, report = workflow_module.run(frags, manifest, receipts, ledger)
+        assembled, assembled_report = assemble(frags, manifest, receipts, ledger)
+        assert payload == assembled == PAYLOAD
+        assert report.fragment_statuses == assembled_report.fragment_statuses
+        expected = execute(frags, manifest)
+        trace = report.activation_trace
+        if class_code is ClassCode.II:
+            # threads take their start ticks in any order
+            by_index = lambda e: e.index  # noqa: E731
+            assert [(e.index, e.note) for e in sorted(trace, key=by_index)] == [
+                (e.index, e.note) for e in sorted(expected, key=by_index)
+            ]
+            assert max(e.start for e in trace) < min(e.end for e in trace)
+        else:
+            assert trace == tuple(expected)
+
+    def test_run_refuses_what_assemble_refuses(self):
+        manifest, frags, receipts, ledger = anchored_env(class_code=ClassCode.II)
+        with pytest.raises(InsufficientSlicesError) as exc:
+            workflow_module.run(frags[:3], manifest, receipts, ledger)
+        assert exc.value.indices == (4,)
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_artifacts(self):
         runs = []
@@ -349,10 +402,46 @@ class TestGateWork:
             seen["hashed"].append(bytes(data))
             return digest(data)
 
-        monkeypatch.setattr(workflow_module, "parse_fragment", counting_parse)
-        monkeypatch.setattr(workflow_module, "sha256", counting_sha256)
+        for module in (workflow_module, cli_module):
+            monkeypatch.setattr(module, "parse_fragment", counting_parse)
+            monkeypatch.setattr(module, "sha256", counting_sha256)
         monkeypatch.setattr(fragments_module, "sha256", counting_sha256)
         return seen
+
+    @pytest.fixture
+    def cli_workspace(self, tmp_path):
+        """A k=16 I_A set split, anchored and mined with `kary`; the global
+        options and the manifest and fragment paths."""
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(self.PAYLOAD)
+        root = tmp_path / "ws"
+        base = ["--workspace", str(root), "--seed", "3", "--difficulty", "4"]
+        files = [str(root / "fragments" / "manifest.kmanifest.json")]
+        files += [str(root / "fragments" / f"frag_{i}.kary") for i in range(1, 17)]
+        for args in (
+            ["split", str(payload), "-k", "16", "--class-code", "I_A",
+             "--strategy", "INTERLEAVE"],
+            ["anchor", *files],
+            ["mine"],
+        ):
+            res = CliRunner().invoke(cli_module.main, [*base, *args],
+                                     env={"KARY_TIMESTAMP": "1700000000"})
+            assert res.exit_code == 0, res.output
+        return base, files
+
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_cli_gate_parses_and_hashes_each_blob_once(self, cli_workspace, counted, command):
+        base, files = cli_workspace
+        counted["parsed"].clear()
+        counted["hashed"].clear()
+        res = CliRunner().invoke(cli_module.main, [*base, command, *files])
+        assert res.exit_code == 0, res.output
+        blobs = [Path(f).read_bytes() for f in files[1:]]
+        slices = [parse_fragment(b).slice for b in blobs]
+        assert counted["parsed"] == Counter(blobs)
+        hashed = Counter(counted["hashed"])
+        assert {b: hashed[b] for b in blobs} == Counter(blobs)
+        assert {s: hashed[s] for s in slices} == Counter(slices)
 
     def test_produce_hashes_each_byte_three_times(self, counted):
         # the plaintext, the ciphertext and its slices, once each
