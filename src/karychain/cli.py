@@ -4,7 +4,8 @@ Commands: split, anchor, mine, verify, assemble, run, ledger show,
 ledger validate. A workspace directory holds the chain file, the pending
 pool, receipts, and fragment output. Exit codes are fixed per outcome:
 0 success, 1 verification or assembly failure, 2 invalid arguments,
-3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool.
+3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
+failure raised under a command maps to its code in EXIT_CODES.
 
 KARY_TIMESTAMP (unix seconds) overrides the wall clock so demo runs are
 reproducible; --seed pins all generated randomness.
@@ -17,14 +18,13 @@ import os
 import random
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 import click
 
-from .canonical import CanonicalJsonError, IntRange, canonical_dumps, sha256
+from .canonical import U64, CanonicalJsonError, IntRange, canonical_dumps, sha256
 from .fragments import (
     ClassCode,
     FragmentError,
@@ -49,6 +49,16 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DUPLICATE = 4
 EXIT_EMPTY_POOL = 5
+
+# The first matching row gives a failure's exit code, so a subclass comes
+# before its base. A bare ValueError means nothing in particular: not listed.
+EXIT_CODES = (
+    (DuplicatePendingError, EXIT_DUPLICATE),
+    (EmptyPoolError, EXIT_EMPTY_POOL),
+    (OSError, EXIT_IO),
+    ((LedgerError, CanonicalJsonError, FragmentError, workflow.AssemblyError,
+      workflow.ExecutionError), EXIT_GATE_FAILURE),
+)
 
 TIMESTAMP_ENV = "KARY_TIMESTAMP"
 MAX_CLI_DIFFICULTY = 32
@@ -77,7 +87,6 @@ class WorkspaceConfig:
         ]
         if len({p.resolve() for p in paths}) != len(paths):
             raise ValueError("workspace paths must be distinct")
-        IntRange(0, MAX_CLI_DIFFICULTY).check(self.difficulty, "difficulty")
 
     @classmethod
     def create(cls, root: Path, difficulty: int | None, seed: int | None) -> "WorkspaceConfig":
@@ -125,9 +134,10 @@ def _now() -> int:
     raw = os.environ.get(TIMESTAMP_ENV)
     if raw is not None:
         try:
-            return int(raw)
+            return U64.check(int(raw), TIMESTAMP_ENV)
         except ValueError:
-            raise click.UsageError(f"{TIMESTAMP_ENV} must be an integer, got {raw!r}")
+            raise click.UsageError(
+                f"{TIMESTAMP_ENV} must be an integer in 0..2**64-1, got {raw!r}")
     return int(time.time())
 
 
@@ -136,19 +146,9 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _read_file(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read {path}: {exc}")
-
-
 def _write_file(path: Path, data: bytes) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {path}: {exc}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
 
 
 def _write_json(path: Path, obj: object) -> None:
@@ -157,7 +157,7 @@ def _write_json(path: Path, obj: object) -> None:
 
 def _load_manifest(path: Path) -> PayloadManifest:
     try:
-        return PayloadManifest.from_canonical_bytes(_read_file(path))
+        return PayloadManifest.from_canonical_bytes(path.read_bytes())
     except CanonicalJsonError as exc:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
 
@@ -169,22 +169,22 @@ def _open_ledger(cfg: WorkspaceConfig) -> Ledger:
         )
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot open the ledger: {exc}")
 
 
-@contextmanager
-def _receipt_errors() -> Iterator[None]:
-    """Exit codes for receipt files that the library gate fails to read."""
-    try:
-        yield
-    except CanonicalJsonError as exc:
-        _fail(EXIT_GATE_FAILURE, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read a receipt: {exc}")
+class _KaryGroup(click.Group):
+    """Exits with a failure's EXIT_CODES code; re-raises what no row matches."""
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:
+            for classes, code in EXIT_CODES:
+                if isinstance(exc, classes):
+                    _fail(code, f"{type(exc).__name__}: {exc}")
+            raise
 
 
-@click.group()
+@click.group(cls=_KaryGroup)
 @click.option(
     "--workspace",
     type=click.Path(path_type=Path),
@@ -232,7 +232,7 @@ def split(
     partition_seed: int,
 ) -> None:
     """Encrypt PAYLOAD and split it into k fragment files plus a manifest."""
-    data = _read_file(payload)
+    data = payload.read_bytes()
     threshold = k if threshold is None else threshold
     rng = random.Random(cfg.seed) if cfg.seed is not None else None
     try:
@@ -264,11 +264,8 @@ def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
     """Queue the SHA-256 of each file for anchoring in the next block."""
     ledger = _open_ledger(cfg)
     for path in paths:
-        digest = sha256(_read_file(path))
-        try:
-            position = ledger.submit_anchor(digest)
-        except DuplicatePendingError as exc:
-            _fail(EXIT_DUPLICATE, str(exc))
+        digest = sha256(path.read_bytes())
+        position = ledger.submit_anchor(digest)
         click.echo(f"pending[{position}] {digest.hex()}  {path}")
 
 
@@ -276,17 +273,14 @@ def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
 @click.pass_obj
 def mine(cfg: WorkspaceConfig) -> None:
     """Mine the pending pool into one block and write its receipts."""
+    now = _now()
     ledger = _open_ledger(cfg)
+    # fail here, not after the block is appended, if receipts cannot be stored
+    cfg.receipts_dir.mkdir(parents=True, exist_ok=True)
+    block, receipts = ledger.mine_block(now)
     store = ReceiptStore(cfg.receipts_dir)
-    try:
-        block, receipts = ledger.mine_block(_now())
-    except EmptyPoolError as exc:
-        _fail(EXIT_EMPTY_POOL, str(exc))
-    try:
-        for receipt in receipts:
-            store.save(receipt)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write receipts: {exc}")
+    for receipt in receipts:
+        store.save(receipt)
     click.echo(
         f"mined block {block.height} hash={block_hash(block).hex()} "
         f"nonce={block.nonce} txs={len(block.tx_digests)}"
@@ -297,7 +291,7 @@ def _verification(
     cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path, ...]
 ) -> tuple[PayloadManifest, list[bytes], ReceiptStore, Ledger]:
     manifest = _load_manifest(manifest_path)
-    blobs = [_read_file(p) for p in fragment_paths]
+    blobs = [p.read_bytes() for p in fragment_paths]
     return manifest, blobs, ReceiptStore(cfg.receipts_dir), _open_ledger(cfg)
 
 
@@ -310,9 +304,8 @@ def verify(cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path
     """Check every fragment and the manifest against the ledger."""
     manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
     chain_ok = ledger.validate_chain()
-    with _receipt_errors():
-        manifest_result = workflow.verify_manifest_anchor(manifest, receipts, ledger)
-        statuses = workflow.verify_fragments(blobs, manifest, receipts, ledger)
+    manifest_result = workflow.verify_manifest_anchor(manifest, receipts, ledger)
+    statuses = workflow.verify_fragments(blobs, manifest, receipts, ledger)
     # by index; where an unparseable blob's argument position equals a
     # parsed fragment's index, the parsed fragment's row comes first
     statuses.sort(key=lambda s: (s.index, isinstance(s.fragment, FragmentError)))
@@ -363,13 +356,7 @@ def assemble(
 ) -> None:
     """Verify, reconstruct the key, and decrypt the payload."""
     manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
-    try:
-        with _receipt_errors():
-            payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
-    except workflow.AssemblyError as exc:
-        _fail(EXIT_GATE_FAILURE, f"{type(exc).__name__}: {exc}")
-    except FragmentError as exc:
-        _fail(EXIT_GATE_FAILURE, f"fragment rejected: {exc}")
+    payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
     out = out if out is not None else cfg.root / "recovered.bin"
     _write_file(out, payload)
     _write_json(cfg.root / "assembly_report.json", report.to_json_dict())
@@ -390,14 +377,11 @@ def run(
     method: str,
 ) -> None:
     """Assemble, then activate each fragment under its class semantics."""
-    manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
+    # a refused run leaves this empty trace, never the trace of an earlier run
     trace_path = cfg.root / "activation_trace.json"
-    try:
-        with _receipt_errors():
-            payload, report = workflow.run(blobs, manifest, receipts, ledger, method.upper())
-    except (workflow.AssemblyError, workflow.ExecutionError, FragmentError) as exc:
-        _write_json(trace_path, {"activation_trace": []})
-        _fail(EXIT_GATE_FAILURE, f"{type(exc).__name__}: {exc}")
+    _write_json(trace_path, {"activation_trace": []})
+    manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
+    payload, report = workflow.run(blobs, manifest, receipts, ledger, method.upper())
     report_json = report.to_json_dict()
     trace = report_json["activation_trace"]
     _write_json(trace_path, {"activation_trace": trace})

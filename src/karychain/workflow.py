@@ -273,6 +273,7 @@ def verify_fragments(
             and frag.class_code is manifest.class_code
             and 1 <= frag.index <= manifest.k
             and frag.share_x == frag.index
+            and len(frag.share_y) == KEY_LEN
             and frag.index not in duplicates
         )
         slice_ok = (

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 import karychain
 from karychain.cli import main
+from karychain.fragments import parse_fragment
 
 PAYLOAD = b"cli demo payload " * 64
 # verify_report.json of test_unparseable_fragment_row_is_pinned, computed
@@ -35,10 +37,10 @@ def demo_paths(root: Path, k=4):
     return manifest, frags
 
 
-def run_kary(root: Path, *args: str) -> subprocess.CompletedProcess:
+def run_kary(root: Path, *args: str, env=None) -> subprocess.CompletedProcess:
     """Run `kary` in a child process, so stderr shows any traceback."""
     src = str(Path(karychain.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "karychain.cli", "--workspace", str(root), *args],
         capture_output=True,
@@ -164,6 +166,56 @@ class TestExitCodes:
     def test_mine_empty_pool(self, runner, tmp_path):
         res = runner.invoke(main, [*ws_args(tmp_path / "ws"), "mine"])
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize(
+        "timestamp, code",
+        [("-1", 2), ("0", 0), (str(2**64 - 1), 0), (str(2**64), 2)],
+    )
+    def test_timestamp_outside_u64_is_usage_error(self, runner, tmp_path, timestamp, code):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        res = runner.invoke(main, [*ws_args(root), "anchor", str(payload_path)])
+        assert res.exit_code == 0, res.output
+        res = run_kary(root, "--difficulty", "0", "mine", env={"KARY_TIMESTAMP": timestamp})
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        if code:
+            assert "KARY_TIMESTAMP" in res.stderr
+
+    def test_unwritable_pending_pool_is_io_error(self, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "pending.json").symlink_to(tmp_path / "missing" / "pending.json")
+        res = run_kary(root, "anchor", str(payload_path))
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_short_key_share_is_refused(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        res = runner.invoke(main, [*ws_args(root), "split", str(payload_path), "-k", "3",
+                                   "--scheme", "XOR_SPLIT"])
+        assert res.exit_code == 0, res.output
+        manifest, frags = demo_paths(root, k=3)
+        frag = parse_fragment(frags[1].read_bytes())
+        frags[1].write_bytes(replace(frag, share_y=frag.share_y[:31]).serialize())
+        files = [str(manifest), *map(str, frags)]
+        res = runner.invoke(main, [*ws_args(root), "anchor", *files])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [*ws_args(root), "mine"])
+        assert res.exit_code == 0, res.output
+        res = run_kary(root, "verify", *files)
+        assert res.returncode == 1, res.stderr
+        report = json.loads((root / "verify_report.json").read_text())
+        assert [f["consistent"] for f in report["fragments"]] == [True, False, True]
+        res = run_kary(root, "assemble", *files)
+        assert res.returncode == 1, res.stderr
+        assert "VerificationFailure" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_tampered_fragment_fails_verify_naming_index(self, runner, tmp_path):
         payload_path = tmp_path / "payload.bin"
@@ -310,6 +362,17 @@ class TestReceiptFiles:
         assert receipt.name in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_refused_run_replaces_an_earlier_trace(self, runner, tmp_path):
+        root, files, receipt = self._fragment_receipt(runner, tmp_path)
+        trace_path = root / "activation_trace.json"
+        res = run_kary(root, "run", *files)
+        assert res.returncode == 0, res.stderr
+        assert len(json.loads(trace_path.read_text())["activation_trace"]) == 4
+        receipt.write_text("{}", encoding="ascii")
+        res = run_kary(root, "run", *files)
+        assert res.returncode == 1, res.stderr
+        assert json.loads(trace_path.read_text()) == {"activation_trace": []}
+
     def test_receipts_path_that_is_a_file_fails_mine_with_io_error(self, runner, tmp_path):
         payload_path = tmp_path / "payload.bin"
         payload_path.write_bytes(PAYLOAD)
@@ -317,9 +380,16 @@ class TestReceiptFiles:
         res = runner.invoke(main, [*ws_args(root), "anchor", str(payload_path)])
         assert res.exit_code == 0, res.output
         (root / "receipts").write_text("", encoding="ascii")
+        before = {name: (root / name).read_bytes() for name in ("ledger.jsonl", "pending.json")}
         res = run_kary(root, "--difficulty", "4", "mine")
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
+        assert {name: (root / name).read_bytes() for name in before} == before
+        (root / "receipts").unlink()
+        res = run_kary(root, "--difficulty", "4", "mine")
+        assert res.returncode == 0, res.stderr
+        digest = hashlib.sha256(PAYLOAD).hexdigest()
+        assert (root / "receipts" / f"{digest}.receipt.json").is_file()
 
 
 class TestNestedJson:

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,28 @@ class TestVerifyFragments:
         }
         assert isinstance(statuses[1].fragment, TruncatedError)
         assert statuses[0].ok and statuses[2].ok and statuses[3].ok
+
+    @pytest.mark.parametrize("cut", [[2], [1, 2, 3]], ids=["one", "every"])
+    def test_short_key_share_is_inconsistent(self, cut):
+        manifest, frags = produce(
+            PAYLOAD, 3, 3, ClassCode.I_B, KeyScheme.XOR_SPLIT,
+            PartitionStrategy.CONTIGUOUS, rng=random.Random(5),
+        )
+        frags = [
+            replace(f, share_y=f.share_y[:31]).serialize() if f.index in cut else blob
+            for f, blob in zip(map(parse_fragment, frags), frags)
+        ]
+        ledger = Ledger(difficulty=4)
+        for digest in [manifest.digest(), *map(sha256, frags)]:
+            ledger.submit_anchor(digest)
+        _, receipts = ledger.mine_block(now=1_700_000_000)
+        receipts = {r.target_digest: r for r in receipts}
+        statuses = verify_fragments(frags, manifest, receipts, ledger)
+        assert [s.index for s in statuses if not s.consistent] == cut
+        assert all(s.anchored and s.slice_ok and s.deps_ok for s in statuses)
+        with pytest.raises(VerificationFailure) as exc_info:
+            assemble(frags, manifest, receipts, ledger)
+        assert exc_info.value.indices == tuple(cut)
 
     def _tamper_slice(self, blob):
         frag = parse_fragment(blob)
