@@ -2,7 +2,8 @@
 
 Commands: split, anchor, mine, verify, assemble, run, ledger show,
 ledger validate. A workspace directory holds the chain file, the pending
-pool, receipts, and fragment output. Exit codes are fixed per outcome:
+pool, receipts, and fragment output; only anchor, mine and ledger show read
+the pool. Exit codes are fixed per outcome:
 0 success, 1 verification or assembly failure, 2 invalid arguments,
 3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
 failure raised under a command maps to its code in EXIT_CODES.
@@ -26,6 +27,7 @@ import click
 
 from .canonical import U64, CanonicalJsonError, IntRange, canonical_dumps, sha256
 from .fragments import (
+    MAX_K,
     ClassCode,
     FragmentError,
     KeyScheme,
@@ -103,7 +105,7 @@ class WorkspaceConfig:
             if not isinstance(defaults, dict):
                 raise click.UsageError(f"{config_path} must hold a JSON object")
         config_difficulty = _config_int(defaults, "difficulty", MAX_CLI_DIFFICULTY, config_path)
-        config_seed = _config_int(defaults, "seed", 2**64 - 1, config_path)
+        config_seed = _config_int(defaults, "seed", U64.hi, config_path)
         if difficulty is None:
             difficulty = 8 if config_difficulty is None else config_difficulty
         if seed is None:
@@ -162,10 +164,13 @@ def _load_manifest(path: Path) -> PayloadManifest:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
 
 
-def _open_ledger(cfg: WorkspaceConfig) -> Ledger:
+def _open_ledger(cfg: WorkspaceConfig, pool: bool = True) -> Ledger:
+    """The workspace ledger; with `pool` false, `pending.json` is not read."""
     try:
         return Ledger(
-            path=cfg.ledger_path, pending_path=cfg.pending_path, difficulty=cfg.difficulty
+            path=cfg.ledger_path,
+            pending_path=cfg.pending_path if pool else None,
+            difficulty=cfg.difficulty,
         )
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
@@ -192,7 +197,7 @@ class _KaryGroup(click.Group):
     show_default=True,
     help="Directory holding the ledger, receipts, and fragment output.",
 )
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="RNG seed.")
+@click.option("--seed", type=click.IntRange(0, U64.hi), default=None, help="RNG seed.")
 @click.option(
     "--difficulty",
     type=click.IntRange(0, MAX_CLI_DIFFICULTY),
@@ -210,8 +215,8 @@ def main(ctx: click.Context, workspace: Path, seed: int | None, difficulty: int 
 
 @main.command()
 @click.argument("payload", type=click.Path(path_type=Path))
-@click.option("-k", "--fragments", "k", type=click.IntRange(1, 255), required=True)
-@click.option("-t", "--threshold", type=click.IntRange(1, 255), default=None,
+@click.option("-k", "--fragments", "k", type=click.IntRange(1, MAX_K), required=True)
+@click.option("-t", "--threshold", type=click.IntRange(1, MAX_K), default=None,
               help="Shares needed to rebuild the key (default: k).")
 @click.option("--class-code", type=click.Choice([c.name for c in ClassCode]), default="I_B",
               show_default=True)
@@ -219,7 +224,7 @@ def main(ctx: click.Context, workspace: Path, seed: int | None, difficulty: int 
               show_default=True)
 @click.option("--strategy", type=click.Choice([s.value for s in PartitionStrategy]),
               default="CONTIGUOUS", show_default=True)
-@click.option("--partition-seed", type=click.IntRange(0, 2**64 - 1), default=0)
+@click.option("--partition-seed", type=click.IntRange(0, U64.hi), default=0)
 @click.pass_obj
 def split(
     cfg: WorkspaceConfig,
@@ -292,7 +297,7 @@ def _verification(
 ) -> tuple[PayloadManifest, list[bytes], ReceiptStore, Ledger]:
     manifest = _load_manifest(manifest_path)
     blobs = [p.read_bytes() for p in fragment_paths]
-    return manifest, blobs, ReceiptStore(cfg.receipts_dir), _open_ledger(cfg)
+    return manifest, blobs, ReceiptStore(cfg.receipts_dir), _open_ledger(cfg, pool=False)
 
 
 @main.command()
@@ -412,7 +417,7 @@ def ledger_show(cfg: WorkspaceConfig) -> None:
 @click.pass_obj
 def ledger_validate(cfg: WorkspaceConfig) -> None:
     """Audit the stored chain; exit 0 only if it is fully valid."""
-    ledger = _open_ledger(cfg)
+    ledger = _open_ledger(cfg, pool=False)
     if ledger.validate_chain():
         click.echo("chain valid")
         sys.exit(EXIT_OK)

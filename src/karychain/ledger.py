@@ -7,6 +7,10 @@ the required number of leading zero bits. Each anchored digest gets a
 receipt carrying its Merkle inclusion path plus the block reference, so
 existence and integrity can be re-verified later against the stored chain.
 
+`Ledger.validate_chain` is the one judge of blocks: heights, hash links,
+Merkle roots, proof of work and an empty genesis. `verify_receipt` checks
+only the receipt against a block of a chain that passes that audit.
+
 Merkle trees pair leaves left to right and promote an odd trailing node
 unchanged to the next level (no Bitcoin-style duplication); promotion
 levels contribute no path entry. The chain persists as an append-only file
@@ -39,7 +43,7 @@ from .canonical import (
     sha256,
 )
 
-ZERO32 = bytes(32)
+ZERO32 = bytes(DIGEST_LEN)
 # height, prev_hash, merkle_root, timestamp, difficulty, nonce
 _HEADER = struct.Struct(">Q32s32sQBQ")
 _NONCE = struct.Struct(">Q")
@@ -256,8 +260,8 @@ class Ledger:
         self._blocks: list[Block] = []
         # insertion-ordered, so membership is O(1) and the order is kept
         self._pending: dict[bytes, None] = {}
-        # (block, block hash) by height, for the blocks of the last clean audit
-        self._audited: list[tuple[Block, bytes]] = []
+        # the last audit: (blocks covered, their hashes, verdict)
+        self._audit: tuple[list[Block], list[bytes], bool] = ([], [], True)
         if self.path is not None and self.path.exists():
             self._blocks = _load_chain_file(self.path)
             if not self._blocks:
@@ -332,9 +336,10 @@ class Ledger:
         return block, receipts
 
     def verify_receipt(self, digest: bytes, receipt: AnchorReceipt) -> VerifyResult:
-        """Check a receipt against the digest and the stored chain.
+        """Check a receipt against the digest and a block of the audited chain.
 
-        All failures yield ok=False with a reason code instead of raising.
+        All failures yield ok=False with a reason code instead of raising;
+        on a chain that fails `validate_chain` the reason is chain-invalid.
         """
         if not isinstance(digest, bytes) or len(digest) != DIGEST_LEN:
             return VerifyResult(False, "malformed-digest")
@@ -342,25 +347,19 @@ class Ledger:
             return VerifyResult(False, "target-mismatch")
         if apply_merkle_path(digest, receipt.merkle_path) != receipt.merkle_root:
             return VerifyResult(False, "path-mismatch")
-        height = receipt.block_height
+        chain_ok = self.validate_chain()
         with self._lock:
-            if not 0 <= height < len(self._blocks):
-                return VerifyResult(False, "no-such-block")
-            block = self._blocks[height]
-            prev = self._blocks[height - 1] if height > 0 else None
-            audited = self._audited
-        bh = _hash_of(block, height, audited)
-        if bh != receipt.block_hash:
+            blocks, hashes, audit_ok = self._audit
+        if not (chain_ok and audit_ok):  # or another thread's audit since failed
+            return VerifyResult(False, "chain-invalid")
+        height = receipt.block_height
+        if height >= len(blocks):
+            return VerifyResult(False, "no-such-block")
+        block = blocks[height]
+        if hashes[height] != receipt.block_hash:
             return VerifyResult(False, "block-hash-mismatch")
         if block.merkle_root != receipt.merkle_root:
             return VerifyResult(False, "merkle-root-mismatch")
-        if not meets_difficulty(bh, block.difficulty):
-            return VerifyResult(False, "pow-unsatisfied")
-        if prev is not None:
-            if block.prev_hash != _hash_of(prev, height - 1, audited):
-                return VerifyResult(False, "chain-link-broken")
-        elif block.prev_hash != ZERO32:
-            return VerifyResult(False, "chain-link-broken")
         if receipt.anchor_timestamp != block.timestamp:
             return VerifyResult(False, "timestamp-mismatch")
         # Leaves and inner nodes hash alike, so a path from an inner node also
@@ -370,40 +369,44 @@ class Ledger:
         return VerifyResult(True)
 
     def validate_chain(self) -> bool:
-        """Audit the stored blocks: invariants, heights, and hash links.
+        """Audit the stored blocks: heights, hash links, Merkle roots, proof
+        of work, and a genesis block that lists no digests.
 
-        A clean audit remembers every block it audited with its hash. While
-        the tip it audited is still stored at its height, later calls audit
-        only the blocks appended since; otherwise they audit the whole
-        chain. The whole tip is compared, not its hash: the header does not
-        cover the tx list.
+        The audit is remembered as (blocks covered, their hashes, verdict).
+        Blocks are only ever appended, so while the stored chain still starts
+        with the covered blocks (compared whole: the header does not cover
+        the tx list), a clean verdict is extended over the blocks appended
+        since and a failed one stands. Otherwise the whole chain is audited.
         """
         with self._lock:
+            covered, hashes, ok = self._audit
+            if covered and self._blocks == covered:
+                return ok
             blocks = list(self._blocks)
-            audited = self._audited
         if not blocks:
             return False
-        start, prev = 0, ZERO32
-        if audited:
-            tip, tip_hash = audited[-1]
-            if tip.height < len(blocks) and blocks[tip.height] == tip:
-                start, prev = tip.height + 1, tip_hash
-        if start == 0 and (blocks[0].tx_digests or blocks[0].merkle_root != ZERO32):
+        start = len(covered)
+        if blocks[:start] != covered:
+            start, hashes = 0, []
+        elif not ok:
             return False
-        hashes = audited[:start]
+        else:
+            hashes = list(hashes)
+        prev = hashes[-1] if hashes else ZERO32
         for i in range(start, len(blocks)):
             block = blocks[i]
-            if block.height != i or block.prev_hash != prev:
-                return False
+            if block.height != i or block.prev_hash != prev or (i == 0 and block.tx_digests):
+                break
             if block.merkle_root != merkle_root_of(block.tx_digests):
-                return False
+                break
             prev = block_hash(block)
             if not meets_difficulty(prev, block.difficulty):
-                return False
-            hashes.append((block, prev))
+                break
+            hashes.append(prev)
+        ok = len(hashes) == len(blocks)
         with self._lock:
-            self._audited = hashes
-        return True
+            self._audit = (blocks, hashes, ok)
+        return ok
 
     def _write_pending_locked(self) -> None:
         if self.pending_path is None:
@@ -411,16 +414,6 @@ class Ledger:
         self.pending_path.parent.mkdir(parents=True, exist_ok=True)
         text = canonical_dumps(DIGESTS.encode(self._pending))
         self.pending_path.write_text(text, encoding="ascii")
-
-
-def _hash_of(block: Block, height: int, audited: list[tuple[Block, bytes]]) -> bytes:
-    """The block's hash, as the last clean audit computed it if that audit
-    saw this very block object at this height, else computed afresh."""
-    if height < len(audited):
-        seen, bh = audited[height]
-        if seen is block:
-            return bh
-    return block_hash(block)
 
 
 def _block_line(block: Block) -> str:

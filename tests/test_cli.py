@@ -318,6 +318,31 @@ class TestExitCodes:
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_torn_pool_refuses_only_the_commands_that_read_it(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        manifest, frags = split_anchor_mine(runner, root, payload_path)
+        assert runner.invoke(main, [*ws_args(root), "anchor", str(payload_path)]).exit_code == 0
+        pending = root / "pending.json"
+        pending.write_bytes(pending.read_bytes()[:40])
+        files = [str(manifest), *map(str, frags)]
+        for args, code in [
+            (["ledger", "validate"], 0),
+            (["verify", *files], 0),
+            (["assemble", *files, "--out", str(tmp_path / "out.bin")], 0),
+            (["run", *files], 0),
+            (["anchor", str(manifest)], 1),
+            (["mine"], 1),
+            (["ledger", "show"], 1),
+        ]:
+            res = run_kary(root, *args, env={"KARY_TIMESTAMP": "1700000001"})
+            assert res.returncode == code, (args, res.stderr)
+            assert "Traceback" not in res.stderr
+            if code:
+                assert "ledger rejected" in res.stderr
+        assert pending.stat().st_size == 40
+
     def test_refused_pool_creates_no_chain_file(self, tmp_path):
         root = tmp_path / "ws"
         root.mkdir()

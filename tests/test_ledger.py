@@ -297,6 +297,12 @@ def test_mined_block_and_receipts_are_pinned(
     assert ledger.validate_chain()
 
 
+def _second_block_at_height_1(ledger, digest, receipt):
+    """Append a copy of block 1 to the stored chain, which fails its audit."""
+    ledger._blocks.append(ledger._blocks[1])
+    return digest, receipt
+
+
 class TestVerifyReceipt:
     def _setup(self):
         ledger = Ledger(difficulty=8)
@@ -386,6 +392,42 @@ class TestVerifyReceipt:
         assert result.reason == "not-in-block"
         assert all(ledger.verify_receipt(x, y) for x, y in zip(d, receipts))
 
+    # reason code -> forge(ledger, digests, receipts) -> (digest, receipt); the
+    # receipt is of digests[0], in block 1 of five digests
+    REASONS = {
+        "malformed-digest": lambda ledger, d, r: (d[0][:31], r[0]),
+        "target-mismatch": lambda ledger, d, r: (d[1], r[0]),
+        "path-mismatch": lambda ledger, d, r: (
+            d[0], dataclasses.replace(r[0], merkle_path=r[1].merkle_path)),
+        "chain-invalid": lambda ledger, d, r: _second_block_at_height_1(ledger, d[0], r[0]),
+        "no-such-block": lambda ledger, d, r: (
+            d[0], dataclasses.replace(r[0], block_height=2)),
+        "block-hash-mismatch": lambda ledger, d, r: (
+            d[0], dataclasses.replace(r[0], block_hash=bytes(32))),
+        # an empty path makes the digest its own root
+        "merkle-root-mismatch": lambda ledger, d, r: (
+            d[0], dataclasses.replace(r[0], merkle_path=(), merkle_root=d[0])),
+        "timestamp-mismatch": lambda ledger, d, r: (
+            d[0], dataclasses.replace(r[0], anchor_timestamp=r[0].anchor_timestamp + 1)),
+        # the inner node over d0 and d1, with its true path to the root
+        "not-in-block": lambda ledger, d, r: (
+            h(d[0] + d[1]),
+            dataclasses.replace(
+                r[0],
+                target_digest=h(d[0] + d[1]),
+                merkle_path=tuple(merkle_path_of([h(d[0] + d[1]), h(d[2] + d[3]), d[4]], 0)),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("reason", list(REASONS))
+    def test_each_reason_code(self, reason):
+        ledger, digests, receipts = self._setup()
+        digest, receipt = self.REASONS[reason](ledger, digests, receipts)
+        result = ledger.verify_receipt(digest, receipt)
+        assert not result
+        assert result.reason == reason
+
     def test_forged_pairs_never_verify(self, rng):
         ledger, digests, receipts = self._setup()
         for _ in range(10000):
@@ -428,18 +470,21 @@ class TestAuditedHashes:
         assert hashed == []
 
     def test_unaudited_ledger_still_hashes(self, rng, hashed):
+        # the first receipt audits the whole chain, later ones reuse it
         ledger, receipts = self.mined(rng)
         hashed.clear()
-        r = receipts[1][0]
-        assert ledger.verify_receipt(r.target_digest, r)
-        assert sorted(hashed) == [1, 2]
+        first, second = receipts[1][:2]
+        assert ledger.verify_receipt(first.target_digest, first)
+        assert hashed == [0, 1, 2, 3]
+        hashed.clear()
+        assert ledger.verify_receipt(second.target_digest, second)
+        assert hashed == []
 
     # the receipt's block (height 2) or its predecessor, swapped for a block
-    # with another nonce after the audit
-    @pytest.mark.parametrize(
-        "height, reason", [(2, "block-hash-mismatch"), (1, "chain-link-broken")]
-    )
-    def test_block_swapped_after_audit_is_rehashed(self, rng, hashed, height, reason):
+    # with another nonce after the audit: the chain is audited again from
+    # genesis and fails at the swapped block or at the link after it
+    @pytest.mark.parametrize("height", [2, 1], ids=["receipt-block", "predecessor"])
+    def test_block_swapped_after_audit_is_rehashed(self, rng, hashed, height):
         ledger, receipts = self.mined(rng)
         assert ledger.validate_chain()
         old = ledger._blocks[height]
@@ -447,8 +492,21 @@ class TestAuditedHashes:
         hashed.clear()
         r = receipts[1][0]
         result = ledger.verify_receipt(r.target_digest, r)
-        assert result.reason == reason
-        assert hashed == [height]
+        assert result.reason == "chain-invalid"
+        assert hashed == list(range(height + 1))
+
+    # a later block, the tip or not, fails the audit while the receipt's
+    # own block (height 1) is untouched
+    @pytest.mark.parametrize("height", [3, 2], ids=["tip", "inner"])
+    @pytest.mark.parametrize("audited_first", [True, False], ids=["audited", "fresh"])
+    def test_genuine_receipt_on_a_failing_chain_is_refused(self, rng, height, audited_first):
+        ledger, receipts = self.mined(rng)
+        if audited_first:
+            assert ledger.validate_chain()
+        old = ledger._blocks[height]
+        ledger._blocks[height] = dataclasses.replace(old, tx_digests=(h(b"forged"),))
+        for r in receipts[0]:
+            assert ledger.verify_receipt(r.target_digest, r).reason == "chain-invalid"
 
 
 class TestConcurrency:
@@ -538,10 +596,26 @@ class TestRememberedAudit:
         audited.clear()
         assert not ledger.validate_chain()
         assert len(audited) == len(ledger._blocks)
-        # the failed audit is not remembered
+        # blocks are only appended, so the failed verdict stands
         audited.clear()
         assert not ledger.validate_chain()
+        assert audited == []
+        # putting the tip back changes the audited blocks: audited afresh
+        ledger._blocks[-1] = tip
+        assert ledger.validate_chain()
         assert len(audited) == len(ledger._blocks)
+
+    def test_failed_verdict_stands_over_appended_blocks(self, rng, audited):
+        ledger = self.mined(rng, 4)
+        old = ledger._blocks[2]
+        ledger._blocks[2] = dataclasses.replace(old, tx_digests=(h(b"forged"),))
+        assert not ledger.validate_chain()
+        assert len(audited) == 3
+        ledger.submit_anchor(rng.randbytes(32))
+        ledger.mine_block(now=9)
+        audited.clear()
+        assert not ledger.validate_chain()
+        assert audited == []
 
     def test_reopened_tampered_file_fails_first_audit(self, tmp_path, rng):
         path = tmp_path / "chain.jsonl"

@@ -11,6 +11,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from karychain import cli as cli_module
 from karychain import fragments as fragments_module
+from karychain import ledger as ledger_module
 from karychain import workflow as workflow_module
 from karychain.fragments import (
     ClassCode,
@@ -123,6 +124,25 @@ class TestVerifyFragments:
         assert statuses[1].anchored is False
         assert statuses[1].anchor_reason == "unanchored"
         assert statuses[0].ok and statuses[2].ok and statuses[3].ok
+
+    def test_failing_chain_is_audited_once(self, monkeypatch):
+        manifest, frags, receipts, ledger = anchored_env()
+        ledger.submit_anchor(sha256(b"later"))
+        ledger.mine_block(now=1_700_000_001)
+        # block 2 fails the audit; the payload's block 1 is untouched
+        ledger._blocks[2] = replace(ledger._blocks[2], tx_digests=(sha256(b"forged"),))
+        roots = []
+        root_of = ledger_module.merkle_root_of
+
+        def counting(leaves):
+            roots.append(len(leaves))
+            return root_of(leaves)
+
+        monkeypatch.setattr(ledger_module, "merkle_root_of", counting)
+        statuses = verify_fragments(frags, manifest, receipts, ledger)
+        assert [s.anchor_reason for s in statuses] == ["chain-invalid"] * 4
+        # blocks 0, 1 and 2 once, not once per receipt
+        assert len(roots) == 3
 
     def test_unparseable_blob_fails_at_its_position(self):
         manifest, frags, receipts, ledger = anchored_env()
