@@ -2,8 +2,9 @@
 
 Commands: split, anchor, mine, verify, assemble, run, ledger show,
 ledger validate. A workspace directory holds the chain file, the pending
-pool, receipts, and fragment output; only anchor, mine and ledger show read
-the pool. Exit codes are fixed per outcome:
+pool, receipts, and fragment output. anchor reads and writes only the
+pool; verify, assemble, run and ledger validate read only the chain and
+refuse a missing one. Exit codes are fixed per outcome:
 0 success, 1 verification or assembly failure, 2 invalid arguments,
 3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
 failure raised under a command maps to its code in EXIT_CODES.
@@ -14,6 +15,7 @@ reproducible; --seed pins all generated randomness.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -164,16 +166,26 @@ def _load_manifest(path: Path) -> PayloadManifest:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
 
 
-def _open_ledger(cfg: WorkspaceConfig, pool: bool = True) -> Ledger:
-    """The workspace ledger; with `pool` false, `pending.json` is not read."""
+def _open_ledger(cfg: WorkspaceConfig, pool: bool = True, chain: bool = True) -> Ledger:
+    """The workspace ledger. With `pool` false, `pending.json` is not read
+    and a missing chain file is refused, not created; with `chain` false,
+    the chain file is neither read nor written."""
+    if not pool:
+        _require_chain(cfg)
     try:
         return Ledger(
-            path=cfg.ledger_path,
+            path=cfg.ledger_path if chain else None,
             pending_path=cfg.pending_path if pool else None,
             difficulty=cfg.difficulty,
         )
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
+
+
+def _require_chain(cfg: WorkspaceConfig) -> None:
+    """Refuse a workspace without a chain file, for commands that only read it."""
+    if not cfg.ledger_path.exists():
+        raise FileNotFoundError(errno.ENOENT, "no chain file", str(cfg.ledger_path))
 
 
 class _KaryGroup(click.Group):
@@ -267,10 +279,9 @@ def split(
 @click.pass_obj
 def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
     """Queue the SHA-256 of each file for anchoring in the next block."""
-    ledger = _open_ledger(cfg)
-    for path in paths:
-        digest = sha256(path.read_bytes())
-        position = ledger.submit_anchor(digest)
+    digests = [sha256(path.read_bytes()) for path in paths]
+    first = _open_ledger(cfg, chain=False).submit_anchor(*digests)
+    for position, (digest, path) in enumerate(zip(digests, paths), start=first):
         click.echo(f"pending[{position}] {digest.hex()}  {path}")
 
 
@@ -382,7 +393,9 @@ def run(
     method: str,
 ) -> None:
     """Assemble, then activate each fragment under its class semantics."""
-    # a refused run leaves this empty trace, never the trace of an earlier run
+    # a refused run leaves this empty trace, never the trace of an earlier
+    # run; a workspace without a chain is refused before anything is written
+    _require_chain(cfg)
     trace_path = cfg.root / "activation_trace.json"
     _write_json(trace_path, {"activation_trace": []})
     manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)

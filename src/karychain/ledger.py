@@ -291,15 +291,30 @@ class Ledger:
         with self._lock:
             return tuple(self._pending)
 
-    def submit_anchor(self, digest: bytes) -> int:
-        """Queue a digest for the next block; returns its pool position."""
-        DIGEST.check(digest, "digest")
+    def submit_anchor(self, digest: bytes, *more: bytes) -> int:
+        """Queue digests, in order, for the next block with one pool write;
+        returns the first one's pool position.
+
+        All or none: a digest already pending or given twice raises
+        DuplicatePendingError before the pool file is touched, and after any
+        failure the pool in memory is as it was.
+        """
+        digests = (digest,) + more
+        for d in digests:
+            DIGEST.check(d, "digest")
         with self._lock:
-            if digest in self._pending:
-                raise DuplicatePendingError(f"digest {digest.hex()} is already pending")
-            self._pending[digest] = None
-            position = len(self._pending) - 1
-            self._write_pending_locked()
+            pending = self._pending
+            position = len(pending)
+            try:
+                for d in digests:
+                    if d in pending:
+                        raise DuplicatePendingError(f"digest {d.hex()} is already pending")
+                    pending[d] = None
+                self._write_pending_locked()
+            except BaseException:
+                while len(pending) > position:
+                    pending.popitem()
+                raise
         return position
 
     def mine_block(self, now: int) -> tuple[Block, list[AnchorReceipt]]:

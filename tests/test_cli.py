@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import karychain
 from karychain.cli import main
 from karychain.fragments import parse_fragment
+from karychain.ledger import Ledger
 
 PAYLOAD = b"cli demo payload " * 64
 # verify_report.json of test_unparseable_fragment_row_is_pinned, computed
@@ -355,6 +356,69 @@ class TestExitCodes:
         assert not (root / "ledger.jsonl").exists()
 
 
+class TestWorkspaceFootprint:
+    """What a command reads and writes: `anchor` only the pool, and the
+    commands that only read the chain never create one."""
+
+    def test_anchor_ignores_the_chain(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        split_anchor_mine(runner, root, payload_path)
+        chain = root / "ledger.jsonl"
+        raw = bytearray(chain.read_bytes())
+        raw[0] ^= 0x01  # "{" becomes "z": the chain no longer parses
+        chain.write_bytes(bytes(raw))
+        res = run_kary(root, "anchor", str(payload_path))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        assert chain.read_bytes() == raw
+        res = run_kary(root, "--difficulty", "0", "mine")
+        assert res.returncode == 1, res.stderr
+        assert "ledger rejected" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert chain.read_bytes() == raw
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["fresh", "queued"])
+    @pytest.mark.parametrize(
+        "second, code", [("p.bin", 4), ("missing.bin", 3)], ids=["duplicate", "missing"]
+    )
+    def test_refused_anchor_leaves_the_pool(self, tmp_path, queued, second, code):
+        (tmp_path / "p.bin").write_bytes(PAYLOAD)
+        (tmp_path / "q.bin").write_bytes(b"queued earlier")
+        root = tmp_path / "ws"
+        pending = root / "pending.json"
+        if queued:
+            assert run_kary(root, "anchor", str(tmp_path / "q.bin")).returncode == 0
+        before = pending.read_bytes() if queued else None
+        res = run_kary(root, "anchor", str(tmp_path / "p.bin"), str(tmp_path / second))
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert (pending.read_bytes() if pending.exists() else None) == before
+        assert root.exists() == queued
+
+    @pytest.mark.parametrize("made", [False, True], ids=["no-dir", "empty-dir"])
+    @pytest.mark.parametrize("command", ["verify", "assemble", "run", "ledger validate"])
+    def test_read_only_command_refuses_a_missing_chain(self, runner, tmp_path, command, made):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        manifest, frags = split_anchor_mine(runner, tmp_path / "ws", payload_path)
+        typo = tmp_path / "typo"
+        if made:
+            typo.mkdir()
+        args = command.split() if command.startswith("ledger") else [
+            command, str(manifest), *map(str, frags)]
+        res = run_kary(typo, *args)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert str(typo / "ledger.jsonl") in res.stderr
+        if made:
+            assert list(typo.iterdir()) == []
+        else:
+            assert not typo.exists()
+
+
 class TestReceiptFiles:
     """Receipts the gate cannot read map to exit codes, never a traceback."""
 
@@ -404,12 +468,16 @@ class TestReceiptFiles:
         root = tmp_path / "ws"
         res = runner.invoke(main, [*ws_args(root), "anchor", str(payload_path)])
         assert res.exit_code == 0, res.output
+        assert not (root / "ledger.jsonl").exists()  # anchor touches only the pool
         (root / "receipts").write_text("", encoding="ascii")
-        before = {name: (root / name).read_bytes() for name in ("ledger.jsonl", "pending.json")}
+        pool = (root / "pending.json").read_bytes()
         res = run_kary(root, "--difficulty", "4", "mine")
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
-        assert {name: (root / name).read_bytes() for name in before} == before
+        assert (root / "pending.json").read_bytes() == pool
+        assert (root / "receipts").read_bytes() == b""
+        # mine creates the chain, but with the genesis block alone
+        assert (root / "ledger.jsonl").read_text(encoding="ascii").count("\n") == 1
         (root / "receipts").unlink()
         res = run_kary(root, "--difficulty", "4", "mine")
         assert res.returncode == 0, res.stderr
@@ -456,6 +524,7 @@ class TestNestedJson:
         res = runner.invoke(main, [*ws_args(root), "split", str(payload_path), "-k", "4"])
         assert res.exit_code == 0, res.output
         manifest, frags = demo_paths(root)
+        Ledger(path=root / "ledger.jsonl")  # a genesis-only chain
         digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
         (root / "receipts").mkdir()
         (root / "receipts" / f"{digest}.receipt.json").write_text(self.DEEP, encoding="ascii")

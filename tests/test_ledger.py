@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +248,74 @@ class TestMining:
                 attempts.append(block.nonce + 1)
             mean = sum(attempts) / len(attempts)
             assert 2**difficulty / 4 <= mean <= 2**difficulty * 4, (difficulty, mean)
+
+
+class TestBatchSubmit:
+    """`submit_anchor(digest, *more)`: in order, one pool write, all or none."""
+
+    A, B, C = h(b"a"), h(b"b"), h(b"c")
+
+    @pytest.fixture
+    def pool_writes(self, monkeypatch):
+        writes = []
+        original = Path.write_text
+
+        def counting(path, *args, **kwargs):
+            writes.append(path.name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", counting)
+        return writes
+
+    def test_batch_returns_first_position_with_one_write(self, tmp_path, pool_writes):
+        pending = tmp_path / "pending.json"
+        ledger = Ledger(pending_path=pending, difficulty=0)
+        ledger.submit_anchor(h(b"earlier"))
+        pool_writes.clear()
+        assert ledger.submit_anchor(self.A, self.B, self.C) == 1
+        assert pool_writes == ["pending.json"]
+        assert ledger.pending == (h(b"earlier"), self.A, self.B, self.C)
+
+    @pytest.mark.parametrize(
+        "batch", [("B", "C", "B"), ("B", "A")], ids=["listed-twice", "already-pending"]
+    )
+    def test_duplicate_in_batch_changes_nothing(self, tmp_path, pool_writes, batch):
+        pending = tmp_path / "pending.json"
+        ledger = Ledger(pending_path=pending, difficulty=0)
+        ledger.submit_anchor(self.A)
+        before = pending.read_bytes()
+        pool_writes.clear()
+        with pytest.raises(DuplicatePendingError):
+            ledger.submit_anchor(*(getattr(self, name) for name in batch))
+        assert ledger.pending == (self.A,)
+        assert pending.read_bytes() == before
+        assert pool_writes == []
+        assert ledger.submit_anchor(self.B, self.C) == 1
+
+    def test_malformed_digest_in_batch_changes_nothing(self, tmp_path):
+        pending = tmp_path / "pending.json"
+        ledger = Ledger(pending_path=pending, difficulty=0)
+        with pytest.raises(ValueError):
+            ledger.submit_anchor(self.A, b"too short")
+        assert ledger.pending == ()
+        assert not pending.exists()
+
+    def test_failed_pool_write_leaves_the_pool_in_memory(self, tmp_path):
+        ledger = Ledger(pending_path=tmp_path / "pool-is-a-dir", difficulty=0)
+        (tmp_path / "pool-is-a-dir").mkdir()
+        with pytest.raises(OSError):
+            ledger.submit_anchor(self.A, self.B)
+        assert ledger.pending == ()
+
+    def test_batch_pool_file_matches_one_at_a_time(self, tmp_path):
+        digests = [h(b"digest-%d" % i) for i in range(40)]
+        one_by_one = Ledger(pending_path=tmp_path / "one.json", difficulty=0)
+        for d in digests:
+            one_by_one.submit_anchor(d)
+        batched = Ledger(pending_path=tmp_path / "batch.json", difficulty=0)
+        batched.submit_anchor(*digests)
+        assert (tmp_path / "batch.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+        assert batched.pending == one_by_one.pending
 
 
 # (pool size, difficulty, nonce, block hash, SHA-256 of every receipt's
