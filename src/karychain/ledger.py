@@ -273,8 +273,7 @@ class Ledger:
         if not self._blocks:
             self._blocks = [GENESIS]
             if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.path.write_text(_block_line(GENESIS), encoding="ascii")
+                write_file(self.path, _block_line(GENESIS).encode("ascii"))
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -362,10 +361,8 @@ class Ledger:
             return VerifyResult(False, "target-mismatch")
         if apply_merkle_path(digest, receipt.merkle_path) != receipt.merkle_root:
             return VerifyResult(False, "path-mismatch")
-        chain_ok = self.validate_chain()
-        with self._lock:
-            blocks, hashes, audit_ok = self._audit
-        if not (chain_ok and audit_ok):  # or another thread's audit since failed
+        blocks, hashes, chain_ok = self._audited()
+        if not chain_ok:
             return VerifyResult(False, "chain-invalid")
         height = receipt.block_height
         if height >= len(blocks):
@@ -385,26 +382,28 @@ class Ledger:
 
     def validate_chain(self) -> bool:
         """Audit the stored blocks: heights, hash links, Merkle roots, proof
-        of work, and a genesis block that lists no digests.
+        of work, and a genesis block that lists no digests."""
+        return self._audited()[2]
 
-        The audit is remembered as (blocks covered, their hashes, verdict).
-        Blocks are only ever appended, so while the stored chain still starts
-        with the covered blocks (compared whole: the header does not cover
-        the tx list), a clean verdict is extended over the blocks appended
-        since and a failed one stands. Otherwise the whole chain is audited.
+    def _audited(self) -> tuple[list[Block], list[bytes], bool]:
+        """One snapshot of the chain audit: (blocks covered, their hashes, verdict).
+
+        The last audit is remembered. Blocks are only ever appended, so while
+        the stored chain still starts with the covered blocks (compared whole:
+        the header does not cover the tx list), a clean verdict is extended
+        over the blocks appended since and a failed one stands. Otherwise the
+        whole chain is audited.
         """
         with self._lock:
-            covered, hashes, ok = self._audit
+            covered, hashes, ok = audit = self._audit
             if covered and self._blocks == covered:
-                return ok
+                return audit
             blocks = list(self._blocks)
-        if not blocks:
-            return False
         start = len(covered)
         if blocks[:start] != covered:
             start, hashes = 0, []
         elif not ok:
-            return False
+            return audit
         else:
             hashes = list(hashes)
         prev = hashes[-1] if hashes else ZERO32
@@ -418,17 +417,21 @@ class Ledger:
             if not meets_difficulty(prev, block.difficulty):
                 break
             hashes.append(prev)
-        ok = len(hashes) == len(blocks)
+        audit = (blocks, hashes, len(hashes) == len(blocks))
         with self._lock:
-            self._audit = (blocks, hashes, ok)
-        return ok
+            self._audit = audit
+        return audit
 
     def _write_pending_locked(self) -> None:
-        if self.pending_path is None:
-            return
-        self.pending_path.parent.mkdir(parents=True, exist_ok=True)
-        text = canonical_dumps(DIGESTS.encode(self._pending))
-        self.pending_path.write_text(text, encoding="ascii")
+        if self.pending_path is not None:
+            text = canonical_dumps(DIGESTS.encode(self._pending))
+            write_file(self.pending_path, text.encode("ascii"))
+
+
+def write_file(path: Path, data: bytes) -> None:
+    """Write a whole workspace file, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
 
 
 def _block_line(block: Block) -> str:
@@ -536,9 +539,8 @@ class ReceiptStore:
         return self.directory / f"{digest.hex()}.receipt.json"
 
     def save(self, receipt: AnchorReceipt) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(receipt.target_digest)
-        path.write_text(canonical_dumps(receipt.to_json_dict()), encoding="ascii")
+        write_file(path, canonical_dumps(receipt.to_json_dict()).encode("ascii"))
         return path
 
     def load(self, digest: bytes) -> AnchorReceipt | None:

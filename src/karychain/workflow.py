@@ -199,8 +199,6 @@ def produce(
     key = rng.randbytes(KEY_LEN)
     nonce = rng.randbytes(NONCE_LEN)
     ciphertext = ChaCha20Poly1305(key).encrypt(nonce, payload, None)
-    if len(ciphertext) < k:
-        raise ValueError(f"ciphertext of {len(ciphertext)} bytes cannot fill {k} slices")
     slices = partition_payload(ciphertext, k, strategy)
     if key_scheme is KeyScheme.XOR_SPLIT:
         shares = split_secret_xor(key, k, rng)
@@ -271,7 +269,6 @@ def verify_fragments(
         consistent = (
             frag.k == manifest.k
             and frag.class_code is manifest.class_code
-            and 1 <= frag.index <= manifest.k
             and frag.share_x == frag.index
             and len(frag.share_y) == KEY_LEN
             and frag.index not in duplicates

@@ -13,8 +13,8 @@ from click.testing import CliRunner
 
 import karychain
 from karychain.cli import main
-from karychain.fragments import parse_fragment
-from karychain.ledger import Ledger
+from karychain.fragments import PayloadManifest, parse_fragment
+from karychain.ledger import GENESIS, Ledger, block_hash
 
 PAYLOAD = b"cli demo payload " * 64
 # verify_report.json of test_unparseable_fragment_row_is_pinned, computed
@@ -167,6 +167,7 @@ class TestExitCodes:
     def test_mine_empty_pool(self, runner, tmp_path):
         res = runner.invoke(main, [*ws_args(tmp_path / "ws"), "mine"])
         assert res.exit_code == 5
+        assert not (tmp_path / "ws").exists()
 
     @pytest.mark.parametrize(
         "timestamp, code",
@@ -217,6 +218,33 @@ class TestExitCodes:
         assert res.returncode == 1, res.stderr
         assert "VerificationFailure" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "field, error",
+        [("ciphertext_digest", "VerificationFailure"), ("nonce", "DecryptionError"),
+         ("plaintext_digest", "PlaintextDigestMismatch")],
+    )
+    def test_anchored_altered_manifest_is_refused(self, runner, tmp_path, field, error):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        res = runner.invoke(main, [*ws_args(root), "split", str(payload_path), "-k", "4"])
+        assert res.exit_code == 0, res.output
+        manifest_path, frags = demo_paths(root)
+        manifest = PayloadManifest.from_canonical_bytes(manifest_path.read_bytes())
+        value = getattr(manifest, field)
+        altered = replace(manifest, **{field: bytes([value[0] ^ 1]) + value[1:]})
+        manifest_path.write_bytes(altered.canonical_bytes())
+        files = [str(manifest_path), *map(str, frags)]
+        res = runner.invoke(main, [*ws_args(root), "anchor", *files])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [*ws_args(root), "mine"])
+        assert res.exit_code == 0, res.output
+        res = run_kary(root, "assemble", *files)
+        assert res.returncode == 1, res.stderr
+        assert f"error: {error}:" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (root / "recovered.bin").exists()
 
     def test_tampered_fragment_fails_verify_naming_index(self, runner, tmp_path):
         payload_path = tmp_path / "payload.bin"
@@ -357,8 +385,8 @@ class TestExitCodes:
 
 
 class TestWorkspaceFootprint:
-    """What a command reads and writes: `anchor` only the pool, and the
-    commands that only read the chain never create one."""
+    """What a command reads and writes: `anchor` only the pool, and
+    `ledger show` and the commands that only read the chain never create one."""
 
     def test_anchor_ignores_the_chain(self, runner, tmp_path):
         payload_path = tmp_path / "payload.bin"
@@ -397,6 +425,23 @@ class TestWorkspaceFootprint:
         assert res.stdout == ""
         assert (pending.read_bytes() if pending.exists() else None) == before
         assert root.exists() == queued
+
+    @pytest.mark.parametrize("state", ["no-dir", "empty-dir", "pool-only"])
+    def test_ledger_show_without_a_chain_prints_genesis(self, tmp_path, state):
+        root = tmp_path / "typo"
+        if state == "empty-dir":
+            root.mkdir()
+        elif state == "pool-only":
+            (tmp_path / "p.bin").write_bytes(PAYLOAD)
+            assert run_kary(root, "anchor", str(tmp_path / "p.bin")).returncode == 0
+        before = sorted(root.iterdir()) if root.exists() else None
+        res = run_kary(root, "ledger", "show")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            f"height=0 hash={block_hash(GENESIS).hex()} txs=0 timestamp=0 "
+            f"difficulty=0 nonce=0\npending: {int(state == 'pool-only')}\n"
+        )
+        assert (sorted(root.iterdir()) if root.exists() else None) == before
 
     @pytest.mark.parametrize("made", [False, True], ids=["no-dir", "empty-dir"])
     @pytest.mark.parametrize("command", ["verify", "assemble", "run", "ledger validate"])

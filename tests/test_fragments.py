@@ -264,6 +264,13 @@ class TestBuildFragments:
         with pytest.raises(ValueError):
             build_fragments([slices[1], slices[0]], shares, manifest)
 
+    def test_swapped_share_abscissas_rejected(self, rng):
+        slices = [rng.randbytes(8) for _ in range(3)]
+        manifest = make_manifest(slices)
+        shares = [SecretShare(x=x, y=bytes(32)) for x in (2, 1, 3)]
+        with pytest.raises(ValueError, match="abscissa 2 does not match fragment index 1"):
+            build_fragments(slices, shares, manifest)
+
     def test_parsed_digests_match_manifest(self, rng):
         slices = [rng.randbytes(16) for _ in range(5)]
         manifest, frags, _ = make_fragments(slices)

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import struct
-from pathlib import Path
 
 import pytest
 
@@ -258,13 +257,13 @@ class TestBatchSubmit:
     @pytest.fixture
     def pool_writes(self, monkeypatch):
         writes = []
-        original = Path.write_text
+        original = ledger_module.write_file
 
-        def counting(path, *args, **kwargs):
+        def counting(path, data):
             writes.append(path.name)
-            return original(path, *args, **kwargs)
+            return original(path, data)
 
-        monkeypatch.setattr(Path, "write_text", counting)
+        monkeypatch.setattr(ledger_module, "write_file", counting)
         return writes
 
     def test_batch_returns_first_position_with_one_write(self, tmp_path, pool_writes):
@@ -850,6 +849,18 @@ class TestChunkedLoad:
         assert path.stat().st_size > 3 * ledger_module._CHUNK_CHARS
         reloaded = Ledger(path=path, difficulty=0)
         assert len(taken) >= 3 and sum(taken) == 701
+        assert reloaded.blocks == ledger.blocks
+        assert reloaded.validate_chain()
+
+    def test_block_line_longer_than_a_chunk(self, tmp_path, rng, taken):
+        path = tmp_path / "chain.jsonl"
+        ledger = Ledger(path=path, difficulty=0)
+        for size in (3, 1200, 2):
+            ledger.submit_anchor(*(rng.randbytes(32) for _ in range(size)))
+            ledger.mine_block(now=size)
+        assert len(self.lines_of(path)[2]) > ledger_module._CHUNK_CHARS
+        reloaded = Ledger(path=path, difficulty=0)
+        assert sum(taken) == 4
         assert reloaded.blocks == ledger.blocks
         assert reloaded.validate_chain()
 

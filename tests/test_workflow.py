@@ -1,6 +1,7 @@
 """Producer/consumer workflow tests: gating, assembly, and activation."""
 
 import random
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -28,10 +29,13 @@ from karychain.workflow import (
     LAGRANGE,
     NEVILLE,
     AssemblyError,
+    DecryptionError,
     DependencyCheckError,
+    ExecutionError,
     ExecutionRefused,
     InsufficientSharesError,
     InsufficientSlicesError,
+    PlaintextDigestMismatch,
     VerificationFailure,
     assemble,
     execute,
@@ -321,6 +325,28 @@ class TestAssemble:
                 with pytest.raises((AssemblyError, FragmentError)):
                     assemble(mutated_frags, manifest, receipts, ledger)
 
+    @pytest.mark.parametrize(
+        "field, error, message",
+        [
+            ("ciphertext_digest", VerificationFailure, "ciphertext digest mismatch"),
+            ("nonce", DecryptionError, "authenticated decryption failed"),
+            ("plaintext_digest", PlaintextDigestMismatch, "payload digest mismatch"),
+        ],
+    )
+    def test_anchored_altered_manifest_refused_after_the_slices(self, field, error, message):
+        # the altered manifest is itself anchored, so only the checks after
+        # reassembly can refuse it
+        manifest, frags = produce(PAYLOAD, 4, 4, ClassCode.I_B, KeyScheme.SHAMIR,
+                                  PartitionStrategy.CONTIGUOUS, rng=random.Random(5))
+        value = getattr(manifest, field)
+        altered = replace(manifest, **{field: bytes([value[0] ^ 1]) + value[1:]})
+        ledger = Ledger(difficulty=4)
+        ledger.submit_anchor(altered.digest(), *map(sha256, frags))
+        _, receipts = ledger.mine_block(now=1_700_000_000)
+        receipts = {r.target_digest: r for r in receipts}
+        with pytest.raises(error, match=message):
+            assemble(frags, altered, receipts, ledger)
+
     def test_invalid_ledger_refuses(self):
         manifest, frags, receipts, ledger = anchored_env()
         ledger._blocks[1] = ledger._blocks[0]
@@ -351,6 +377,28 @@ class TestExecute:
         trace = execute(frags, manifest)
         assert len(trace) == 4
         assert max(e.start for e in trace) < min(e.end for e in trace)
+
+    def test_class_ii_failing_action_refuses_without_a_hang(self):
+        manifest, frags, receipts, ledger = anchored_env(class_code=ClassCode.II)
+
+        def failing(frag):
+            raise RuntimeError(f"action {frag.index} failed")
+
+        raised = []
+
+        def activate():
+            try:
+                execute(frags, manifest, actions={3: failing})
+            except ExecutionError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=activate, daemon=True)
+        worker.start()
+        worker.join(timeout=20)  # below the 30 s barrier timeout
+        assert not worker.is_alive()
+        (exc,) = raised
+        assert type(exc) is ExecutionError
+        assert str(exc) == "parallel activation failed: action 3 failed"
 
     def test_class_ii_missing_fragment_refuses(self):
         manifest, frags, receipts, ledger = anchored_env(class_code=ClassCode.II)
