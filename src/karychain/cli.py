@@ -3,8 +3,10 @@
 Commands: split, anchor, mine, verify, assemble, run, ledger show,
 ledger validate. A workspace directory holds the chain file, the pending
 pool, receipts, and fragment output. anchor reads and writes only the
-pool; verify, assemble, run and ledger validate read only the chain and
-refuse a missing one. Exit codes are fixed per outcome:
+pool. mine reads the pool, then of the chain a framing pass over the whole
+file and a strict decode of its last line only; the full chain audit stays
+with verify, assemble, run and ledger validate, which read only the chain
+and refuse a missing one. Exit codes are fixed per outcome:
 0 success, 1 verification or assembly failure, 2 invalid arguments,
 3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
 failure raised under a command maps to its code in EXIT_CODES.
@@ -43,6 +45,7 @@ from .ledger import (
     Ledger,
     LedgerError,
     ReceiptStore,
+    TipLedger,
     block_hash,
     write_file as _write_file,  # karybench's tracer wraps it under this name
 )
@@ -162,18 +165,22 @@ def _load_manifest(path: Path) -> PayloadManifest:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
 
 
-def _open_ledger(cfg: WorkspaceConfig, pool: bool = True, chain: bool = True) -> Ledger:
-    """The workspace ledger. With `pool` false, `pending.json` is not read
-    and a missing chain file is refused, not created; with `chain` false,
-    the chain file is neither read nor written."""
+def _open_ledger(
+    cfg: WorkspaceConfig, pool: bool = True, chain: bool = True, kind: type[Ledger] = Ledger
+) -> Ledger:
+    """The workspace ledger, of class `kind`. With `pool` false,
+    `pending.json` is not read and a missing chain file is refused, not
+    created; with `chain` false, the chain file is neither read nor written."""
     if not pool:
         _require_chain(cfg)
     try:
-        return Ledger(
+        return kind(
             path=cfg.ledger_path if chain else None,
             pending_path=cfg.pending_path if pool else None,
             difficulty=cfg.difficulty,
         )
+    except EmptyPoolError:
+        raise
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
 
@@ -283,9 +290,7 @@ def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
 def mine(cfg: WorkspaceConfig) -> None:
     """Mine the pending pool into one block and write its receipts."""
     now = _now()
-    if not cfg.pending_path.exists():  # refused before any file is created
-        raise EmptyPoolError("no pending digests to mine")
-    ledger = _open_ledger(cfg)
+    ledger = _open_ledger(cfg, kind=TipLedger)
     # fail here, not after the block is appended, if receipts cannot be stored
     cfg.receipts_dir.mkdir(parents=True, exist_ok=True)
     block, receipts = ledger.mine_block(now)

@@ -428,6 +428,29 @@ class Ledger:
             write_file(self.pending_path, text.encode("ascii"))
 
 
+class TipLedger(Ledger):
+    """The pool and the chain's last block, all that `mine_block` reads:
+    `blocks`, `validate_chain` and `verify_receipt` raise LedgerError. An
+    empty pool is refused before a missing chain file is started."""
+
+    def __init__(self, path: Path, pending_path: Path, difficulty: int = 8):
+        super().__init__(pending_path=pending_path, difficulty=difficulty)
+        if not self._pending:
+            raise EmptyPoolError("no pending digests to mine")
+        self.path = Path(path)
+        if self.path.exists():
+            self._blocks = [_load_chain_tip(self.path)]
+        else:
+            write_file(self.path, _block_line(GENESIS).encode("ascii"))
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        raise LedgerError("only the chain's tip was read")
+
+    def _audited(self) -> tuple[list[Block], list[bytes], bool]:
+        raise LedgerError("only the chain's tip was read")
+
+
 def write_file(path: Path, data: bytes) -> None:
     """Write a whole workspace file, creating its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -450,7 +473,8 @@ _LINE_TAIL = "]}"
 _LINE_JOIN = _LINE_TAIL + "\n" + _LINE_HEAD
 
 
-def _load_chain_file(path: Path) -> list[Block]:
+def _chain_text(path: Path) -> str:
+    """The chain file as text: ASCII, and empty or ending in a newline."""
     try:
         # decoded from bytes: read_text would turn "\r\n" and "\r" into "\n"
         raw = path.read_bytes().decode("ascii")
@@ -458,6 +482,11 @@ def _load_chain_file(path: Path) -> list[Block]:
         raise LedgerError(f"ledger file is not ASCII: {exc}") from exc
     if raw and not raw.endswith("\n"):
         raise LedgerError("ledger file must end with a newline")
+    return raw
+
+
+def _load_chain_file(path: Path) -> list[Block]:
+    raw = _chain_text(path)
     blocks: list[Block] = []
     pos, lineno = 0, 1
     while pos < len(raw):
@@ -471,6 +500,27 @@ def _load_chain_file(path: Path) -> list[Block]:
     return blocks
 
 
+def _load_chain_tip(path: Path) -> Block:
+    """The chain file's last block. The whole file must pass `_framed`; only
+    its last line is decoded, strictly: the chain audit reads the rest."""
+    raw = _chain_text(path)
+    lines = raw.count("\n")
+    if not _framed(raw, lines, len(raw) - 1):  # framed in place, not copied
+        raise LedgerError("ledger file is not one block per line")
+    return _parse_lines(raw[raw.rfind("\n", 0, -1) + 1 : -1], lines)[0]
+
+
+def _framed(text: str, lines: int, end: int) -> bool:
+    """Whether text[:end] is framed as `lines` block lines joined by
+    newlines, with no "\r", which would hide a line break from the count."""
+    return (
+        text.startswith(_LINE_HEAD)
+        and text.endswith(_LINE_TAIL, 0, end)
+        and text.count(_LINE_JOIN, 0, end) == lines - 1
+        and text.find("\r", 0, end) < 0
+    )
+
+
 def _parse_chunk(chunk: str, lines: int) -> list[Block] | None:
     """The blocks of newline-separated lines, with one strict parse of them
     all as a JSON array; None if they are not one canonical block per line.
@@ -482,11 +532,7 @@ def _parse_chunk(chunk: str, lines: int) -> list[Block] | None:
     start, since no object opens inside a block, and as many blocks as
     lines leaves no block to span a line break.
     """
-    if not (
-        chunk.startswith(_LINE_HEAD)
-        and chunk.endswith(_LINE_TAIL)
-        and chunk.count(_LINE_JOIN) == lines - 1
-    ):
+    if not _framed(chunk, lines, len(chunk)):
         return None
     try:
         objs = canonical_loads_strict("[" + chunk.replace("\n", ",") + "]")

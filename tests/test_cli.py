@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import karychain
+from karychain import ledger as ledger_module
 from karychain.cli import main
 from karychain.fragments import PayloadManifest, parse_fragment
 from karychain.ledger import GENESIS, Ledger, block_hash
@@ -639,3 +640,160 @@ class TestDeterminism:
         assert trees[0] == trees[1]
         assert any("ledger" in k for k in trees[0])
         assert any("receipt" in k for k in trees[0])
+
+
+def tip_workspace(root: Path, blocks: int, pool: int) -> None:
+    """A workspace whose chain holds `blocks` blocks (0: no chain file) of
+    one to three digests each, and whose pool lists `pool` digests."""
+    if blocks:
+        ledger = Ledger(path=root / "ledger.jsonl", difficulty=0)
+        for height in range(1, blocks):
+            ledger.submit_anchor(*(hashlib.sha256(b"block %d tx %d" % (height, j)).digest()
+                                   for j in range(height % 3 + 1)))
+            ledger.mine_block(now=1_600_000_000 + height)
+    Ledger(pending_path=root / "pending.json").submit_anchor(
+        *(hashlib.sha256(b"pool %d" % j).digest() for j in range(pool)))
+
+
+def tree_sha256(root: Path) -> str:
+    """One digest over the name and SHA-256 of every file under `root`."""
+    listing = "".join(
+        f"{p.relative_to(root).as_posix()} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(root.rglob("*")) if p.is_file()
+    )
+    return hashlib.sha256(listing.encode("ascii")).hexdigest()
+
+
+# tree_sha256 of the workspace after `kary --difficulty D mine` at
+# KARY_TIMESTAMP=1700000000, by (chain blocks, pool digests, D), computed
+# when `mine` still parsed the whole chain file. A missing chain file is
+# started with genesis, so it mines the bytes of a 1-block chain.
+MINE_GOLDEN = {
+    (1, 1, 0): "2b2dd6a6ff3f7d1f30b49f2630bbbae6c98f86cb4d617c71f7b10ab97efa1a76",
+    (1, 1, 8): "f9044975d3640080b190ef510f9775e26e97f0869c3adb83edc9eafa6596dda1",
+    (1, 5, 0): "8f80b5aa2f2062a9492aeca4f91f00f98d84762d6090bf9f3716a9b41e464d75",
+    (1, 5, 8): "1e07d9dd513b2b25385d4045c66118629364bdabe87657c60f08aa4e0f9ae274",
+    (1, 160, 0): "77ba915b5a61efdf49cd5838dbd01b5c99ae40238fbc4c9faa4b41f150437616",
+    (1, 160, 8): "cb368ff7d8f19130d0f854ab88d9a157e042f0641adf697fcad5cb887b04d99a",
+    (2, 1, 0): "54294435f79dfc3d3d8682d2e49230a68d37f1c9394301994005d30d6d62a4e2",
+    (2, 1, 8): "6103a1f3b18f6ec90e367ee37049689cc5c904da1627f209bfb49fe8d2d35fe5",
+    (2, 5, 0): "4300b8f4e1355c42e1860191bf495c70d94ef549052d66189138a540ed4098c2",
+    (2, 5, 8): "9431ea15f1f7b70567fc1e0a9921e48749bbb4a476e2551fd843b62d26b1fd02",
+    (2, 160, 0): "fb4773270c566157d23f4c09f2c9c7775f64e44b0488c97dd676be2aba972d1a",
+    (2, 160, 8): "469467f34cc77cbf9380799482ae5bdd2b69550c96e2cd6c23ed53fa837eca8a",
+    (300, 1, 0): "b225825dfbb634f9663f716b52e7d2172e29019d0652c65f755e72885597738e",
+    (300, 1, 8): "289ed6f5e3103a6d841ca8077e85f2600f0e039782a726d4fb4fd41102374e7b",
+    (300, 5, 0): "39bcc38025240ea003157feffc9ddc86bddfbaa0c4c1d04c5614969dcef3fe26",
+    (300, 5, 8): "ea950f60e00a9f1c8553784555bc233a989f5a4d07c226d775632aaacb649d27",
+    (300, 160, 0): "20204f10bec31f224ac2a83f84bc575b4587762278bb63c153f129bba04d40b1",
+    (300, 160, 8): "6498d22c69c2b8913c7b94921d10f92352c6cf1733a713f1f1bbbd1f75516bc7",
+}
+
+
+class TestMineReadsTheTip:
+    """`kary mine` reads the pool, a framing pass over the chain file and
+    its last line; the full audit stays with the commands that gate."""
+
+    MINE = ("--difficulty", "0", "mine")
+
+    @pytest.mark.parametrize("difficulty", [0, 8])
+    @pytest.mark.parametrize("pool", [1, 5, 160])
+    @pytest.mark.parametrize("blocks", [0, 1, 2, 300])
+    def test_mined_bytes_are_pinned(self, runner, tmp_path, blocks, pool, difficulty):
+        root = tmp_path / "ws"
+        tip_workspace(root, blocks, pool)
+        res = runner.invoke(
+            main, ["--workspace", str(root), "--difficulty", str(difficulty), "mine"],
+            env={"KARY_TIMESTAMP": "1700000000"},
+        )
+        assert res.exit_code == 0, res.output
+        assert len(list((root / "receipts").iterdir())) == pool
+        assert tree_sha256(root) == MINE_GOLDEN[max(blocks, 1), pool, difficulty]
+
+    def test_one_chain_line_is_decoded(self, runner, tmp_path, monkeypatch):
+        root = tmp_path / "ws"
+        tip_workspace(root, 300, 5)
+        chain = root / "ledger.jsonl"
+        tip_line = chain.read_text(encoding="ascii").split("\n")[-2]
+        decoded = []
+        loads = ledger_module.canonical_loads_strict
+
+        def recording(text):
+            decoded.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(ledger_module, "canonical_loads_strict", recording)
+        res = runner.invoke(main, ["--workspace", str(root), *self.MINE])
+        assert res.exit_code == 0, res.output
+        assert [t for t in decoded if ledger_module._LINE_HEAD in t] == [tip_line]
+        monkeypatch.undo()
+        reloaded = Ledger(path=chain, difficulty=0)
+        assert reloaded.height == 300
+        assert reloaded.validate_chain()
+
+    @pytest.mark.parametrize("case", [
+        "empty file", "blank line", "CRLF", "CR", "blank last line", "non-ASCII",
+        "no final newline", "first byte flipped", "non-canonical last line",
+    ])
+    def test_misframed_chain_is_refused_untouched(self, tmp_path, case):
+        root = tmp_path / "ws"
+        tip_workspace(root, 30, 3)
+        assert run_kary(root, *self.MINE).returncode == 0  # leaves receipts behind
+        Ledger(pending_path=root / "pending.json").submit_anchor(hashlib.sha256(b"next").digest())
+        chain = root / "ledger.jsonl"
+        lines = chain.read_text(encoding="ascii").split("\n")[:-1]
+        text = "\n".join(lines) + "\n"
+        if case == "empty file":
+            text = ""
+        elif case == "blank line":
+            text = "\n".join(lines[:7] + [""] + lines[7:]) + "\n"
+        elif case == "CRLF":
+            text = "\n".join(lines[:7] + [lines[7] + "\r"] + lines[8:]) + "\n"
+        elif case == "CR":
+            text = "\n".join(lines[:7] + [lines[7] + "\r" + lines[8]] + lines[9:]) + "\n"
+        elif case == "blank last line":
+            text += "\n"
+        elif case == "non-ASCII":
+            text = text.replace('"', "é", 1)
+        elif case == "no final newline":
+            text = text[:-1]
+        elif case == "first byte flipped":
+            text = "z" + text[1:]
+        else:
+            text = "\n".join(lines[:-1] + [lines[-1].replace(":", ": ", 1)]) + "\n"
+        chain.write_bytes(text.encode("utf-8"))
+        before = tree_sha256(root)
+        res = run_kary(root, *self.MINE)
+        assert res.returncode == 1, res.stderr
+        assert "ledger rejected" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert tree_sha256(root) == before
+
+    def test_non_canonical_middle_line_mines_but_fails_the_audit(self, tmp_path):
+        # mine no longer decodes the lines before the tip, so it appends to
+        # a chain that `ledger validate` and every gate still refuse
+        root = tmp_path / "ws"
+        tip_workspace(root, 30, 3)
+        chain = root / "ledger.jsonl"
+        lines = chain.read_text(encoding="ascii").split("\n")
+        lines[4] = lines[4].replace(":", ": ", 1)
+        chain.write_text("\n".join(lines), encoding="ascii")
+        res = run_kary(root, *self.MINE)
+        assert res.returncode == 0, res.stderr
+        assert chain.read_text(encoding="ascii").count("\n") == 31
+        res = run_kary(root, "ledger", "validate")
+        assert res.returncode == 1, res.stderr
+        assert "ledger line 5: " in res.stderr
+
+    @pytest.mark.parametrize("blocks", [0, 2], ids=["no-chain", "chain"])
+    def test_empty_listed_pool_creates_nothing(self, tmp_path, blocks):
+        root = tmp_path / "ws"
+        tip_workspace(root, blocks, 1)
+        (root / "pending.json").write_bytes(b"[]")
+        before = tree_sha256(root)
+        res = run_kary(root, *self.MINE)
+        assert res.returncode == 5, res.stderr
+        assert "Traceback" not in res.stderr
+        assert tree_sha256(root) == before
+        assert (root / "ledger.jsonl").exists() == bool(blocks)
+        assert not (root / "receipts").exists()

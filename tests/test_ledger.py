@@ -18,6 +18,7 @@ from karychain.ledger import (
     Ledger,
     LedgerError,
     ReceiptStore,
+    TipLedger,
     apply_merkle_path,
     block_hash,
     merkle_path_of,
@@ -951,3 +952,32 @@ class TestChunkedLoad:
             ):
                 undetected.append(pos)
         assert undetected == []
+
+
+class TestTipLedger:
+    """A ledger that read only the chain's tip mines the block a fully
+    loaded one would, and refuses to answer about the rest of the chain."""
+
+    def test_mines_on_the_tip_and_answers_nothing_else(self, tmp_path, rng):
+        path, ledger, _ = TestChunkedLoad.chain(tmp_path, rng, blocks=40)
+        assert ledger_module._load_chain_tip(path) == ledger.blocks[-1]
+        full_path = tmp_path / "full.jsonl"
+        full_path.write_bytes(path.read_bytes())
+        full = Ledger(full_path, difficulty=4)
+        pending = tmp_path / "pending.json"
+        digests = [rng.randbytes(32) for _ in range(3)]
+        Ledger(pending_path=pending).submit_anchor(*digests)
+        full.submit_anchor(*digests)
+        tip = TipLedger(path, pending, difficulty=4)
+        assert tip.height == full.height == 40
+        block, receipts = tip.mine_block(now=99)
+        assert (block, receipts) == full.mine_block(now=99)
+        assert path.read_bytes() == full_path.read_bytes()
+        assert pending.read_bytes() == b"[]"
+        for answer in (lambda: tip.blocks, tip.validate_chain,
+                       lambda: tip.verify_receipt(digests[0], receipts[0])):
+            with pytest.raises(LedgerError, match="only the chain's tip was read"):
+                answer()
+        reloaded = Ledger(path, difficulty=4)
+        assert reloaded.validate_chain()
+        assert all(reloaded.verify_receipt(d, r) for d, r in zip(digests, receipts))
