@@ -171,7 +171,7 @@ def _open_ledger(
     """The workspace ledger, of class `kind`. With `pool` false,
     `pending.json` is not read and a missing chain file is refused, not
     created; with `chain` false, the chain file is neither read nor written."""
-    if not pool:
+    if chain and not pool:
         _require_chain(cfg)
     try:
         return kind(
@@ -415,15 +415,17 @@ def ledger_group() -> None:
 @ledger_group.command(name="show")
 @click.pass_obj
 def ledger_show(cfg: WorkspaceConfig) -> None:
-    """Print one line per stored block; without a chain file, genesis only."""
-    ledger = _open_ledger(cfg, chain=cfg.ledger_path.exists())
+    """Print one line per stored block, then the pool size; without a chain
+    file, genesis only. The pool is read after the blocks are printed, so a
+    torn one still shows the chain before it is refused."""
+    ledger = _open_ledger(cfg, pool=False, chain=cfg.ledger_path.exists())
     for block in ledger.blocks:
         click.echo(
             f"height={block.height} hash={block_hash(block).hex()} "
             f"txs={len(block.tx_digests)} timestamp={block.timestamp} "
             f"difficulty={block.difficulty} nonce={block.nonce}"
         )
-    click.echo(f"pending: {len(ledger.pending)}")
+    click.echo(f"pending: {len(_open_ledger(cfg, chain=False).pending)}")
 
 
 @ledger_group.command(name="validate")

@@ -10,6 +10,9 @@ Two schemes cover the payload key:
   by interpolating at x=0, either with Lagrange weights or with the
   Neville/Aitken recurrence; the two must always agree.
 
+Secrets, shares and field vectors are plain `bytes`; the field kernels are
+in `gf256`.
+
 Randomness is injected so tests can be deterministic; callers that pass no
 generator get OS entropy.
 """
@@ -18,8 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gf256
 from .gf256 import gf_inv, gf_mul
@@ -58,6 +59,13 @@ def _default_rng(rng: random.Random | None) -> random.Random:
     return rng if rng is not None else random.SystemRandom()
 
 
+def _xor_all(vectors: list[bytes]) -> bytes:
+    acc = 0
+    for v in vectors:
+        acc ^= int.from_bytes(v, "big")
+    return acc.to_bytes(len(vectors[0]), "big")
+
+
 def split_secret_xor(secret: bytes, k: int, rng: random.Random | None = None) -> list[SecretShare]:
     """Split into k additive shares; XOR of all ordinates equals the secret."""
     if k < 1:
@@ -66,17 +74,14 @@ def split_secret_xor(secret: bytes, k: int, rng: random.Random | None = None) ->
         raise ValueError(f"share count must be <= 255, got {k}")
     rng = _default_rng(rng)
     parts = [rng.randbytes(len(secret)) for _ in range(k - 1)]
-    acc = np.frombuffer(secret, dtype=np.uint8).copy()
-    for part in parts:
-        acc ^= np.frombuffer(part, dtype=np.uint8)
-    parts.append(acc.tobytes())
+    parts.append(_xor_all([secret, *parts]))
     return [SecretShare(x=i + 1, y=part) for i, part in enumerate(parts)]
 
 
 def reconstruct_xor(shares: list[SecretShare]) -> bytes:
     """XOR all share ordinates back together. Caller checks share completeness."""
-    xs, ys = _share_matrix(shares)
-    return np.bitwise_xor.reduce(ys, axis=0).tobytes()
+    _, ys = _share_points(shares)
+    return _xor_all(ys)
 
 
 def split_secret_shamir(
@@ -96,16 +101,14 @@ def split_secret_shamir(
         raise ValueError(f"threshold {t} exceeds share count {n}")
     rng = _default_rng(rng)
     length = len(secret)
-    coeffs = np.empty((length, t), dtype=np.uint8)
-    coeffs[:, 0] = np.frombuffer(secret, dtype=np.uint8)
-    if t > 1:
-        raw = rng.randbytes(length * (t - 1))
-        coeffs[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(length, t - 1)
-    ys = gf256.eval_polys(coeffs, np.arange(1, n + 1))
-    return [SecretShare(x=x, y=y.tobytes()) for x, y in enumerate(ys, start=1)]
+    raw = rng.randbytes(length * (t - 1)) if t > 1 else b""
+    # Row-major draw: secret byte r's higher coefficients are raw's row r.
+    coeffs = [secret[r : r + 1] + raw[r * (t - 1) : (r + 1) * (t - 1)] for r in range(length)]
+    ys = gf256.eval_polys(coeffs, bytes(range(1, n + 1)))
+    return [SecretShare(x=x, y=y) for x, y in enumerate(ys, start=1)]
 
 
-def _share_matrix(shares: list[SecretShare]) -> tuple[np.ndarray, np.ndarray]:
+def _share_points(shares: list[SecretShare]) -> tuple[bytes, list[bytes]]:
     if not shares:
         raise ValueError("at least one share is required")
     xs = [s.x for s in shares]
@@ -114,20 +117,16 @@ def _share_matrix(shares: list[SecretShare]) -> tuple[np.ndarray, np.ndarray]:
     length = len(shares[0].y)
     if any(len(s.y) != length for s in shares):
         raise ValueError("share ordinates must all have the same length")
-    xarr = np.array(xs, dtype=np.uint8)
-    yarr = np.empty((len(shares), length), dtype=np.uint8)
-    for i, s in enumerate(shares):
-        yarr[i] = np.frombuffer(s.y, dtype=np.uint8)
-    return xarr, yarr
+    return bytes(xs), [s.y for s in shares]
 
 
 def reconstruct_lagrange(shares: list[SecretShare]) -> bytes:
     """Recover the secret by Lagrange interpolation at x=0 over all given shares."""
-    xs, ys = _share_matrix(shares)
-    return gf256.lagrange_zero(xs, ys).tobytes()
+    xs, ys = _share_points(shares)
+    return gf256.lagrange_zero(xs, ys)
 
 
 def reconstruct_neville(shares: list[SecretShare]) -> bytes:
     """Recover the secret by the Neville/Aitken recurrence evaluated at x=0."""
-    xs, ys = _share_matrix(shares)
-    return gf256.neville_zero(xs, ys).tobytes()
+    xs, ys = _share_points(shares)
+    return gf256.neville_zero(xs, ys)

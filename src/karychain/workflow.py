@@ -343,7 +343,9 @@ def reconstruct_key(
     """Rebuild the payload key from the shares embedded in the fragments.
 
     Takes fragment blobs or already parsed fragments. Needs all k fragments
-    under XOR_SPLIT, any `threshold` under SHAMIR. This succeeds independently
+    under XOR_SPLIT, any `threshold` under SHAMIR, of which only the
+    `threshold` lowest-index shares are interpolated: t points fix the key,
+    and more would cost O(k^2) instead of O(t^2). This succeeds independently
     of slice completeness: the key threshold relaxes only the key, never the
     data.
     """
@@ -363,6 +365,7 @@ def reconstruct_key(
             f"have {len(shares)} shares, need {manifest.threshold}",
             indices=[f.index for f in parsed],
         )
+    shares = shares[: manifest.threshold]
     if method == LAGRANGE:
         return reconstruct_lagrange(shares)
     return reconstruct_neville(shares)

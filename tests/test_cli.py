@@ -373,6 +373,28 @@ class TestExitCodes:
                 assert "ledger rejected" in res.stderr
         assert pending.stat().st_size == 40
 
+    def test_ledger_show_prints_every_block_before_refusing_a_torn_pool(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        split_anchor_mine(runner, root, payload_path)
+        assert runner.invoke(main, [*ws_args(root), "anchor", str(payload_path)]).exit_code == 0
+        whole = run_kary(root, "ledger", "show")
+        assert whole.returncode == 0, whole.stderr
+        blocks = [line for line in whole.stdout.splitlines() if line.startswith("height=")]
+        assert len(blocks) == 2
+        assert whole.stdout.splitlines()[-1] == "pending: 1"
+        pending = root / "pending.json"
+        pending.write_bytes(pending.read_bytes()[:40])
+        chain = (root / "ledger.jsonl").read_bytes()
+        torn = run_kary(root, "ledger", "show")
+        assert torn.returncode == 1, torn.stderr
+        assert torn.stdout.splitlines() == blocks
+        assert "ledger rejected" in torn.stderr
+        assert "Traceback" not in torn.stderr
+        assert (root / "ledger.jsonl").read_bytes() == chain
+        assert pending.stat().st_size == 40
+
     def test_refused_pool_creates_no_chain_file(self, tmp_path):
         root = tmp_path / "ws"
         root.mkdir()

@@ -1,9 +1,12 @@
 """Field arithmetic checks against an independent shift-and-reduce oracle."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,59 +78,68 @@ def test_mul_is_commutative_and_distributive(a, b, c):
     assert left == right
 
 
-# Reference kernels: one field operation at a time, in plain loops.
+# Reference kernels: one field operation at a time, in plain loops, on a
+# product table built from `peasant_mul` alone (never from `gf256`'s tables).
+
+REF_MUL = [[peasant_mul(a, b) for b in range(256)] for a in range(256)]
+REF_INV = [0] + [REF_MUL[a].index(1) for a in range(1, 256)]
 
 
-def ref_eval(coeffs: np.ndarray, x: int) -> np.ndarray:
-    acc = coeffs[:, -1].copy()
-    for m in range(coeffs.shape[1] - 2, -1, -1):
-        acc = gf256._MUL[acc, x] ^ coeffs[:, m]
-    return acc
+def ref_eval(coeffs: list[bytes], x: int) -> bytes:
+    out = []
+    for poly in coeffs:
+        acc = 0
+        for c in reversed(poly):
+            acc = REF_MUL[acc][x] ^ c
+        out.append(acc)
+    return bytes(out)
 
 
-def ref_lagrange(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    out = np.zeros(ys.shape[1], dtype=np.uint8)
+def ref_lagrange(xs: bytes, ys: list[bytes]) -> bytes:
+    out = [0] * len(ys[0])
     for i in range(len(xs)):
         w = 1
         for j in range(len(xs)):
             if j != i:
-                w = gf256._MUL[gf256._MUL[w, xs[j]], gf256._INV[xs[i] ^ xs[j]]]
-        out ^= gf256._MUL[w, ys[i]]
-    return out
+                w = REF_MUL[REF_MUL[w][xs[j]]][REF_INV[xs[i] ^ xs[j]]]
+        for r, v in enumerate(ys[i]):
+            out[r] ^= REF_MUL[w][v]
+    return bytes(out)
 
 
-def ref_neville(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    p = ys.copy()
+def ref_neville(xs: bytes, ys: list[bytes]) -> bytes:
+    p = [list(y) for y in ys]
     npts = len(xs)
     for span in range(1, npts):
         for i in range(npts - span):
-            num = gf256._MUL[xs[i + span], p[i]] ^ gf256._MUL[xs[i], p[i + 1]]
-            p[i] = gf256._MUL[num, gf256._INV[xs[i] ^ xs[i + span]]]
-    return p[0]
+            d = REF_INV[xs[i] ^ xs[i + span]]
+            ma, mb = REF_MUL[xs[i + span]], REF_MUL[xs[i]]
+            p[i] = [REF_MUL[ma[a] ^ mb[b]][d] for a, b in zip(p[i], p[i + 1])]
+    return bytes(p[0])
 
 
 def _random_instance(rng, npts, rows):
-    xs = np.array(rng.sample(range(1, 256), npts), dtype=np.uint8)
-    ys = np.frombuffer(rng.randbytes(npts * rows), dtype=np.uint8).reshape(npts, rows).copy()
+    xs = bytes(rng.sample(range(1, 256), npts))
+    ys = [rng.randbytes(rows) for _ in range(npts)]
     return xs, ys
 
 
 def _random_coeffs(rng, rows, ncoef):
-    return np.frombuffer(rng.randbytes(rows * ncoef), dtype=np.uint8).reshape(rows, ncoef).copy()
+    return [rng.randbytes(ncoef) for _ in range(rows)]
 
 
-def test_numpy_horner_matches_scalar_eval(rng):
+def test_power_basis_eval_matches_scalar_eval(rng):
     coeffs = _random_coeffs(rng, 5, 7)
-    for x in (0, 1, 2, 77, 255):
-        got = gf256.eval_polys(coeffs, x)
+    got = gf256.eval_polys(coeffs, bytes([0, 1, 2, 77, 255]))
+    for point, x in enumerate((0, 1, 2, 77, 255)):
         for row in range(5):
             acc = 0
             for power, c in enumerate(coeffs[row]):
-                term = int(c)
+                term = c
                 for _ in range(power):
                     term = peasant_mul(term, x)
                 acc ^= term
-            assert got[row] == acc
+            assert got[point][row] == acc
 
 
 @pytest.mark.parametrize("with_zero", [False, True], ids=["nonzero", "with-zero"])
@@ -137,42 +149,50 @@ def test_interpolators_match_reference_loops(rng, with_zero):
         xs, ys = _random_instance(rng, npts, rng.randint(1, 33))
         if with_zero:
             zero = rng.randrange(npts)
-            xs[zero] = 0
+            xs = xs[:zero] + b"\x00" + xs[zero + 1 :]
         lag = gf256.lagrange_zero(xs, ys)
         nev = gf256.neville_zero(xs, ys)
-        assert np.array_equal(lag, ref_lagrange(xs, ys)), npts
-        assert np.array_equal(nev, ref_neville(xs, ys)), npts
-        assert np.array_equal(lag, nev), npts
+        assert lag == ref_lagrange(xs, ys), npts
+        assert nev == ref_neville(xs, ys), npts
+        assert lag == nev, npts
         if with_zero:
-            assert np.array_equal(lag, ys[zero])
+            assert lag == ys[zero]
 
 
 def test_kernels_leave_inputs_untouched(rng):
     xs, ys = _random_instance(rng, 9, 5)
-    before = ys.copy()
+    ys = [bytearray(y) for y in ys]
+    before = [bytes(y) for y in ys]
+    held = list(ys)
     gf256.lagrange_zero(xs, ys)
     gf256.neville_zero(xs, ys)
-    assert np.array_equal(ys, before)
+    assert ys == before
+    assert all(a is b for a, b in zip(ys, held))
+    coeffs = [bytearray(c) for c in _random_coeffs(rng, 4, 6)]
+    coeffs_before = [bytes(c) for c in coeffs]
+    gf256.eval_polys(coeffs, xs)
+    assert coeffs == coeffs_before
 
 
 def test_eval_matches_reference_loops(rng):
     for _ in range(50):
         coeffs = _random_coeffs(rng, rng.randint(1, 40), rng.randint(1, 129))
-        x = rng.randint(0, 255)
-        assert np.array_equal(gf256.eval_polys(coeffs, x), ref_eval(coeffs, x))
+        xs = bytes(rng.sample(range(256), rng.randint(1, 6)))
+        got = gf256.eval_polys(coeffs, xs)
+        assert got == [ref_eval(coeffs, x) for x in xs]
 
 
 def test_eval_at_array_equals_scalar_calls(rng):
     for ncoef in (1, 2, 8, 128):
         coeffs = _random_coeffs(rng, 32, ncoef)
-        points = np.arange(256)
-        got = gf256.eval_polys(coeffs, points)
-        assert got.shape == (256, 32)
-        for x in points:
-            assert np.array_equal(got[x], gf256.eval_polys(coeffs, int(x)))
+        got = gf256.eval_polys(coeffs, bytes(range(256)))
+        assert len(got) == 256
+        for x in range(256):
+            assert got[x] == gf256.eval_polys(coeffs, bytes([x]))[0]
     coeffs = _random_coeffs(rng, 3, 4)
-    assert gf256.eval_polys(coeffs, np.arange(0)).shape == (0, 3)
-    assert gf256.eval_polys(coeffs, 5).shape == (3,)
+    assert gf256.eval_polys(coeffs, b"") == []
+    assert gf256.eval_polys(coeffs, b"\x05") == [ref_eval(coeffs, 5)]
+    assert gf256.eval_polys([], b"\x01\x02") == [b"", b""]
 
 
 def test_interpolation_inverts_evaluation(rng):
@@ -180,15 +200,29 @@ def test_interpolation_inverts_evaluation(rng):
     for _ in range(25):
         rows = rng.randint(1, 16)
         degree = rng.randint(0, 7)
-        coeffs = (
-            np.frombuffer(rng.randbytes(rows * (degree + 1)), dtype=np.uint8)
-            .reshape(rows, degree + 1)
-            .copy()
-        )
-        xs = np.array(rng.sample(range(1, 256), degree + 1), dtype=np.uint8)
-        ys = np.stack([gf256.eval_polys(coeffs, int(x)) for x in xs])
-        assert np.array_equal(gf256.lagrange_zero(xs, ys), coeffs[:, 0])
-        assert np.array_equal(gf256.neville_zero(xs, ys), coeffs[:, 0])
+        coeffs = _random_coeffs(rng, rows, degree + 1)
+        xs = bytes(rng.sample(range(1, 256), degree + 1))
+        ys = gf256.eval_polys(coeffs, xs)
+        secret = bytes(poly[0] for poly in coeffs)
+        assert gf256.lagrange_zero(xs, ys) == secret
+        assert gf256.neville_zero(xs, ys) == secret
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(gf256.__file__).resolve().parent.parent)
+    code = (
+        "import sys, karychain, karychain.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 # SHA-256 over the manifest's canonical bytes, then each blob's SHA-256, from

@@ -270,6 +270,45 @@ class TestAssemble:
             assemble(short, manifest, receipts, ledger)
         assert exc.value.indices == (4,)
 
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """The share abscissas each interpolation is handed, by method."""
+        calls = {LAGRANGE: [], NEVILLE: []}
+        for method, name in ((LAGRANGE, "reconstruct_lagrange"), (NEVILLE, "reconstruct_neville")):
+            original = getattr(workflow_module, name)
+
+            def counted(shares, original=original, seen=calls[method]):
+                seen.append([s.x for s in shares])
+                return original(shares)
+
+            monkeypatch.setattr(workflow_module, name, counted)
+        return calls
+
+    def test_shamir_key_interpolates_only_the_threshold_lowest_shares(self, handed):
+        manifest, frags, receipts, ledger = anchored_env(k=8, t=3, seed=9)
+        shuffled = [frags[i] for i in (6, 2, 7, 0, 5, 1, 4, 3)]
+        for method in (LAGRANGE, NEVILLE):
+            key = reconstruct_key(shuffled, manifest, method)
+            assert handed[method] == [[1, 2, 3]]
+            assert key == reconstruct_key([frags[7], frags[4], frags[5]], manifest, method)
+            payload, _ = assemble(frags, manifest, receipts, ledger, method=method)
+            assert payload == PAYLOAD
+            assert handed[method][-1] == [1, 2, 3]
+
+    def test_altered_share_beyond_the_threshold_is_refused_by_its_anchor(self, handed):
+        manifest, frags, receipts, ledger = anchored_env(k=8, t=3, seed=9)
+        share_y = 13  # magic, five u8 fields, share_len u32
+        blob = bytearray(frags[7])
+        assert parse_fragment(bytes(blob)).index == 8
+        blob[share_y] ^= 0x01
+        altered = [*frags[:7], bytes(blob)]
+        assert parse_fragment(altered[7]).share_y != parse_fragment(frags[7]).share_y
+        for method in (LAGRANGE, NEVILLE):
+            with pytest.raises(VerificationFailure) as exc:
+                assemble(altered, manifest, receipts, ledger, method=method)
+            assert exc.value.indices == (8,)
+        assert handed == {LAGRANGE: [], NEVILLE: []}
+
     def test_too_few_shares_for_key(self):
         manifest, frags, receipts, ledger = anchored_env(t=3, seed=8)
         with pytest.raises(InsufficientSharesError):
