@@ -11,6 +11,9 @@ and refuse a missing one. Exit codes are fixed per outcome:
 3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
 failure raised under a command maps to its code in EXIT_CODES.
 
+An optional config.json sets `difficulty`, `seed` and `min_difficulty`,
+the proof-of-work floor of the chain audit past genesis.
+
 KARY_TIMESTAMP (unix seconds) overrides the wall clock so demo runs are
 reproducible; --seed pins all generated randomness.
 """
@@ -83,6 +86,7 @@ class WorkspaceConfig:
     pending_path: Path
     config_path: Path
     difficulty: int
+    min_difficulty: int
     seed: int | None
 
     def __post_init__(self) -> None:
@@ -98,7 +102,9 @@ class WorkspaceConfig:
 
     @classmethod
     def create(cls, root: Path, difficulty: int | None, seed: int | None) -> "WorkspaceConfig":
-        """Merge CLI flags over the workspace defaults file over built-ins."""
+        """Merge CLI flags over the workspace defaults file over built-ins. A
+        difficulty given below `min_difficulty` is refused; the built-in 8
+        is raised to it."""
         config_path = root / "config.json"
         defaults: dict = {}
         if config_path.exists():
@@ -111,9 +117,14 @@ class WorkspaceConfig:
             if not isinstance(defaults, dict):
                 raise click.UsageError(f"{config_path} must hold a JSON object")
         config_difficulty = _config_int(defaults, "difficulty", MAX_CLI_DIFFICULTY, config_path)
+        floor = _config_int(defaults, "min_difficulty", MAX_CLI_DIFFICULTY, config_path) or 0
         config_seed = _config_int(defaults, "seed", U64.hi, config_path)
         if difficulty is None:
-            difficulty = 8 if config_difficulty is None else config_difficulty
+            difficulty = config_difficulty
+        if difficulty is None:
+            difficulty = max(8, floor)
+        elif difficulty < floor:
+            raise click.UsageError(f"difficulty {difficulty} is below min_difficulty {floor}")
         if seed is None:
             seed = config_seed
         return cls(
@@ -124,6 +135,7 @@ class WorkspaceConfig:
             pending_path=root / "pending.json",
             config_path=config_path,
             difficulty=difficulty,
+            min_difficulty=floor,
             seed=seed,
         )
 
@@ -178,6 +190,7 @@ def _open_ledger(
             path=cfg.ledger_path if chain else None,
             pending_path=cfg.pending_path if pool else None,
             difficulty=cfg.difficulty,
+            min_difficulty=cfg.min_difficulty,
         )
     except EmptyPoolError:
         raise

@@ -8,13 +8,16 @@ receipt carrying its Merkle inclusion path plus the block reference, so
 existence and integrity can be re-verified later against the stored chain.
 
 `Ledger.validate_chain` is the one judge of blocks: heights, hash links,
-Merkle roots, proof of work and an empty genesis. `verify_receipt` checks
-only the receipt against a block of a chain that passes that audit.
+Merkle roots, proof of work and an empty genesis. Past genesis, the
+difficulty a block states must reach the ledger's `min_difficulty` floor.
+`verify_receipt` checks only the receipt against a block of a chain that
+passes that audit.
 
 Merkle trees pair leaves left to right and promote an odd trailing node
 unchanged to the next level (no Bitcoin-style duplication); promotion
 levels contribute no path entry. The chain persists as an append-only file
-of canonical-JSON lines, receipts as one canonical-JSON file per digest.
+of canonical-JSON lines, each exactly what `_line_of` writes for its block,
+receipts as one canonical-JSON file per digest.
 
 The ledger is a single logical writer: submissions and mining serialize on
 one lock, reads work on consistent snapshots.
@@ -23,6 +26,7 @@ one lock, reads work on consistent snapshots.
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 import threading
 from dataclasses import dataclass
@@ -244,7 +248,8 @@ class Ledger:
 
     With a path, the chain file is loaded strictly (every line must be the
     canonical encoding of its block) and each mined block appends one line.
-    A pending path persists the pool between processes.
+    A pending path persists the pool between processes. A ledger that
+    would mine below its own `min_difficulty` floor is refused.
     """
 
     def __init__(
@@ -252,8 +257,12 @@ class Ledger:
         path: Path | None = None,
         pending_path: Path | None = None,
         difficulty: int = 8,
+        min_difficulty: int = 0,
     ):
         self.difficulty = _DIFFICULTY.check(difficulty, "difficulty")
+        self.min_difficulty = _DIFFICULTY.check(min_difficulty, "min_difficulty")
+        if difficulty < min_difficulty:
+            raise ValueError(f"difficulty {difficulty} is below min_difficulty {min_difficulty}")
         self.path = Path(path) if path is not None else None
         self.pending_path = Path(pending_path) if pending_path is not None else None
         self._lock = threading.Lock()
@@ -382,7 +391,8 @@ class Ledger:
 
     def validate_chain(self) -> bool:
         """Audit the stored blocks: heights, hash links, Merkle roots, proof
-        of work, and a genesis block that lists no digests."""
+        of work at no less than `min_difficulty` past genesis, and a genesis
+        block that lists no digests."""
         return self._audited()[2]
 
     def _audited(self) -> tuple[list[Block], list[bytes], bool]:
@@ -407,9 +417,12 @@ class Ledger:
         else:
             hashes = list(hashes)
         prev = hashes[-1] if hashes else ZERO32
+        floor = self.min_difficulty
         for i in range(start, len(blocks)):
             block = blocks[i]
             if block.height != i or block.prev_hash != prev or (i == 0 and block.tx_digests):
+                break
+            if block.difficulty < floor and i:
                 break
             if block.merkle_root != merkle_root_of(block.tx_digests):
                 break
@@ -433,8 +446,8 @@ class TipLedger(Ledger):
     `blocks`, `validate_chain` and `verify_receipt` raise LedgerError. An
     empty pool is refused before a missing chain file is started."""
 
-    def __init__(self, path: Path, pending_path: Path, difficulty: int = 8):
-        super().__init__(pending_path=pending_path, difficulty=difficulty)
+    def __init__(self, path: Path, pending_path: Path, **difficulties: int):
+        super().__init__(pending_path=pending_path, **difficulties)
         if not self._pending:
             raise EmptyPoolError("no pending digests to mine")
         self.path = Path(path)
@@ -452,13 +465,34 @@ class TipLedger(Ledger):
 
 
 def write_file(path: Path, data: bytes) -> None:
-    """Write a whole workspace file, creating its directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    """Write a whole workspace file, creating its directory if it is missing."""
+    try:
+        path.write_bytes(data)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+# A block's chain line: its canonical JSON, keys sorted, with no whitespace,
+# integers in decimal and bytes in lowercase hex. Filled only with values a
+# Block holds or `Block.from_json_dicts` has checked, it is exactly what
+# `canonical_dumps(block.to_json_dict())` writes.
+_LINE = (
+    '{"difficulty":%d,"height":%d,"merkle_root":"%s","nonce":%d,'
+    '"prev_hash":"%s","timestamp":%d,"tx_digests":[%s]}'
+)
+
+
+def _line_of(obj: dict) -> str:
+    """The chain line, without its newline, of a block's JSON values."""
+    txs = obj["tx_digests"]
+    txs = '"%s"' % '","'.join(txs) if txs else ""
+    return _LINE % (obj["difficulty"], obj["height"], obj["merkle_root"], obj["nonce"],
+                    obj["prev_hash"], obj["timestamp"], txs)
 
 
 def _block_line(block: Block) -> str:
-    return canonical_dumps(block.to_json_dict()) + "\n"
+    return _line_of(block.to_json_dict()) + "\n"
 
 
 # A chain file is parsed one chunk of whole lines at a time, each chunk as
@@ -466,10 +500,10 @@ def _block_line(block: Block) -> str:
 # of its own), so that loading holds one chunk's parsed objects at a time
 # beside the blocks: a whole-file parse raised peak memory by megabytes.
 _CHUNK_CHARS = 64 * 1024
-# Every canonical block line starts with its first sorted key and ends with
-# the list of its last one, tx_digests.
-_LINE_HEAD = '{"%s":' % min(Block.FIELDS)
-_LINE_TAIL = "]}"
+# Every chain line starts with its first key and ends with the list of its
+# last one, tx_digests: what the tip read's framing pass counts.
+_LINE_HEAD = _LINE[: _LINE.index(":") + 1]
+_LINE_TAIL = _LINE[-2:]
 _LINE_JOIN = _LINE_TAIL + "\n" + _LINE_HEAD
 
 
@@ -501,46 +535,41 @@ def _load_chain_file(path: Path) -> list[Block]:
 
 
 def _load_chain_tip(path: Path) -> Block:
-    """The chain file's last block. The whole file must pass `_framed`; only
+    """The chain file's last block. The whole file must be framed as block
+    lines, with no "\r", which would hide a line break from the count; only
     its last line is decoded, strictly: the chain audit reads the rest."""
     raw = _chain_text(path)
-    lines = raw.count("\n")
-    if not _framed(raw, lines, len(raw) - 1):  # framed in place, not copied
+    lines, end = raw.count("\n"), len(raw) - 1  # framed in place, not copied
+    if not (
+        raw.startswith(_LINE_HEAD)
+        and raw.endswith(_LINE_TAIL, 0, end)
+        and raw.count(_LINE_JOIN, 0, end) == lines - 1
+        and raw.find("\r", 0, end) < 0
+    ):
         raise LedgerError("ledger file is not one block per line")
     return _parse_lines(raw[raw.rfind("\n", 0, -1) + 1 : -1], lines)[0]
 
 
-def _framed(text: str, lines: int, end: int) -> bool:
-    """Whether text[:end] is framed as `lines` block lines joined by
-    newlines, with no "\r", which would hide a line break from the count."""
-    return (
-        text.startswith(_LINE_HEAD)
-        and text.endswith(_LINE_TAIL, 0, end)
-        and text.count(_LINE_JOIN, 0, end) == lines - 1
-        and text.find("\r", 0, end) < 0
-    )
-
-
 def _parse_chunk(chunk: str, lines: int) -> list[Block] | None:
-    """The blocks of newline-separated lines, with one strict parse of them
-    all as a JSON array; None if they are not one canonical block per line.
+    """The blocks of `lines` newline-separated lines, with one JSON parse of
+    them all as an array; None unless each line is its block's chain line.
 
-    The array can be canonical while its lines are not: a newline moved into
-    a tx_digests list, with a comma moved to the line's end, leaves the
-    joined text unchanged. Once every object has decoded as a block, every
-    line starting with a block's first key pins each line start to a block
-    start, since no object opens inside a block, and as many blocks as
-    lines leaves no block to span a line break.
+    The array alone proves little: a newline moved into a tx_digests list,
+    with a comma moved to the line's end, leaves the joined text unchanged.
+    So once every object has decoded as a block, the chunk must equal the
+    lines `_line_of` writes from the values just checked. That one compare
+    fixes both the framing (one block per line) and the canonical form.
     """
-    if not _framed(chunk, lines, len(chunk)):
-        return None
     try:
-        objs = canonical_loads_strict("[" + chunk.replace("\n", ",") + "]")
+        objs = json.loads("[" + chunk.replace("\n", ",") + "]")
         if len(objs) != lines:
             return None
-        return Block.from_json_dicts(objs)
-    except CanonicalJsonError:
+        blocks = Block.from_json_dicts(objs)
+    except (ValueError, RecursionError):
         return None
+    if "\n".join(map(_line_of, objs)) != chunk:
+        return None
+    return blocks
 
 
 def _parse_lines(chunk: str, first_lineno: int) -> list[Block]:

@@ -342,28 +342,31 @@ def reconstruct_key(
 ) -> bytes:
     """Rebuild the payload key from the shares embedded in the fragments.
 
-    Takes fragment blobs or already parsed fragments. Needs all k fragments
-    under XOR_SPLIT, any `threshold` under SHAMIR, of which only the
-    `threshold` lowest-index shares are interpolated: t points fix the key,
+    Takes fragment blobs or already parsed fragments; of several with one
+    index, only one counts. Needs all k fragments under XOR_SPLIT, any
+    `threshold` distinct ones under SHAMIR, of which only the `threshold`
+    lowest-index shares are interpolated: t points fix the key,
     and more would cost O(k^2) instead of O(t^2). This succeeds independently
     of slice completeness: the key threshold relaxes only the key, never the
     data.
     """
     if method not in (LAGRANGE, NEVILLE):
         raise ValueError(f"unknown reconstruction method {method!r}")
-    parsed = sorted(_parsed(fragment_blobs), key=lambda f: f.index)
-    shares = [SecretShare(x=f.share_x, y=f.share_y) for f in parsed]
+    # one fragment per index: a repeated share adds no point to interpolate
+    by_index = {f.index: f for f in _parsed(fragment_blobs)}
+    shares = [SecretShare(x=f.share_x, y=f.share_y) for _, f in sorted(by_index.items())]
     if manifest.key_scheme is KeyScheme.XOR_SPLIT:
-        if {f.index for f in parsed} != set(range(1, manifest.k + 1)):
+        every = set(range(1, manifest.k + 1))
+        if by_index.keys() != every:
             raise InsufficientSharesError(
                 "XOR split needs every fragment's share",
-                indices=sorted(set(range(1, manifest.k + 1)) - {f.index for f in parsed}),
+                indices=sorted(every - by_index.keys()),
             )
         return reconstruct_xor(shares)
     if len(shares) < manifest.threshold:
         raise InsufficientSharesError(
             f"have {len(shares)} shares, need {manifest.threshold}",
-            indices=[f.index for f in parsed],
+            indices=sorted(by_index),
         )
     shares = shares[: manifest.threshold]
     if method == LAGRANGE:

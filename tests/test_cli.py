@@ -615,7 +615,8 @@ class TestWorkspaceConfig:
     @pytest.mark.parametrize(
         "text",
         ['{"difficulty": "8"}', '{"difficulty": true}', "[]", '{"seed": "x"}',
-         '{"difficulty": 33}', '{"seed": -1}'],
+         '{"difficulty": 33}', '{"seed": -1}', '{"min_difficulty": 33}',
+         '{"min_difficulty": -1}', '{"min_difficulty": true}'],
     )
     def test_malformed_config_is_usage_error(self, runner, tmp_path, text):
         root = tmp_path / "ws"
@@ -819,3 +820,47 @@ class TestMineReadsTheTip:
         assert tree_sha256(root) == before
         assert (root / "ledger.jsonl").exists() == bool(blocks)
         assert not (root / "receipts").exists()
+
+
+class TestProofOfWorkFloor:
+    """config.json's min_difficulty: the floor every block past genesis must
+    reach for the gates to pass."""
+
+    @pytest.mark.parametrize("config, flags", [
+        ('{"min_difficulty": 8}', ["--difficulty", "4"]),
+        ('{"min_difficulty": 8, "difficulty": 4}', []),
+    ])
+    def test_mining_below_the_floor_is_usage_error(self, runner, tmp_path, config, flags):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "config.json").write_text(config)
+        res = runner.invoke(main, ["--workspace", str(root), *flags, "ledger", "show"])
+        assert res.exit_code == 2, res.output
+        assert "min_difficulty" in res.output
+
+    def test_default_difficulty_is_raised_to_the_floor(self, runner, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "config.json").write_text('{"min_difficulty": 10}')
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        env = {"KARY_TIMESTAMP": "1700000000"}
+        for args in (["anchor", str(payload_path)], ["mine"], ["ledger", "validate"]):
+            res = runner.invoke(main, ["--workspace", str(root), *args], env=env)
+            assert res.exit_code == 0, res.output
+        assert '"difficulty":10' in (root / "ledger.jsonl").read_text().splitlines()[-1]
+
+    def test_assemble_on_a_chain_below_the_floor_exits_1(self, runner, tmp_path):
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        root = tmp_path / "ws"
+        manifest, frags = split_anchor_mine(runner, root, payload_path)  # difficulty 6
+        files = [str(manifest), *map(str, frags)]
+        (root / "config.json").write_text('{"min_difficulty": 8}')
+        res = run_kary(root, "assemble", *files)
+        assert res.returncode == 1, res.stderr
+        assert "chain failed validation" in res.stderr
+        assert "Traceback" not in res.stderr
+        (root / "config.json").write_text('{"min_difficulty": 6}')
+        res = run_kary(root, "assemble", *files)
+        assert res.returncode == 0, res.stderr

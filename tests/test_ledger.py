@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import random
 import struct
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from karychain import ledger as ledger_module
 
-from karychain.canonical import CanonicalJsonError, canonical_bytes
+from karychain.canonical import CanonicalJsonError, canonical_bytes, canonical_dumps
 from karychain.ledger import (
     GENESIS,
     AnchorReceipt,
@@ -981,3 +984,128 @@ class TestTipLedger:
         reloaded = Ledger(path, difficulty=4)
         assert reloaded.validate_chain()
         assert all(reloaded.verify_receipt(d, r) for d, r in zip(digests, receipts))
+
+
+class TestProofOfWorkFloor:
+    """Past genesis, the audit refuses a block whose stated difficulty is
+    below the ledger's floor, however well its hash meets that difficulty."""
+
+    @staticmethod
+    def forged_chain(tmp_path, rng):
+        """A block genuinely mined at difficulty 16, then a hand-appended
+        block that claims difficulty 0 for a forged digest."""
+        path = tmp_path / "chain.jsonl"
+        ledger = Ledger(path=path, difficulty=16, min_difficulty=16)
+        ledger.submit_anchor(rng.randbytes(32))
+        ledger.mine_block(now=1)
+        forged = h(b"forged")
+        block = Block(2, block_hash(ledger.blocks[-1]), merkle_root_of([forged]), 2, 0, 0,
+                      (forged,))
+        with path.open("a", encoding="ascii") as fh:
+            fh.write(ledger_module._block_line(block))
+        receipt = AnchorReceipt(forged, 2, block_hash(block), block.merkle_root, (), 2)
+        return path, forged, receipt
+
+    def test_forged_block_refused_at_the_floor_and_accepted_without_one(self, tmp_path, rng):
+        path, forged, receipt = self.forged_chain(tmp_path, rng)
+        floored = Ledger(path=path, difficulty=16, min_difficulty=16)
+        assert not floored.validate_chain()
+        assert floored.verify_receipt(forged, receipt).reason == "chain-invalid"
+        unfloored = Ledger(path=path, difficulty=16)
+        assert unfloored.validate_chain()
+        assert unfloored.verify_receipt(forged, receipt)
+
+    def test_genesis_is_exempt(self):
+        assert Ledger(difficulty=8, min_difficulty=8).validate_chain()
+
+    @pytest.mark.parametrize("difficulty, floor", [(4, 8), (8, 256), (8, -1), (8, True)])
+    def test_ledger_below_its_floor_is_refused(self, difficulty, floor):
+        with pytest.raises(ValueError):
+            Ledger(difficulty=difficulty, min_difficulty=floor)
+
+
+def _canonical_line(block):
+    return canonical_dumps(block.to_json_dict()) + "\n"
+
+
+u64_edges = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+digests32 = st.binary(min_size=32, max_size=32)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.builds(
+    Block,
+    height=u64_edges,
+    prev_hash=digests32,
+    merkle_root=digests32,
+    timestamp=u64_edges,
+    difficulty=st.integers(0, 255),
+    nonce=u64_edges,
+    tx_digests=st.lists(digests32, max_size=300).map(tuple),
+))
+def test_block_line_template_is_the_canonical_encoding(block):
+    line = ledger_module._block_line(block)
+    assert line == _canonical_line(block)
+    (parsed,) = ledger_module._parse_chunk(line[:-1], 1)
+    assert parsed == block
+
+
+def _mutation_chain() -> bytes:
+    """Forty difficulty-0 blocks of 0 to 6 digests each, about 16 KiB."""
+    rng = random.Random(16)
+    ledger = Ledger(difficulty=0)
+    for i in range(40):
+        size = i % 7
+        if size:
+            ledger.submit_anchor(*(rng.randbytes(32) for _ in range(size)))
+            ledger.mine_block(now=i)
+        else:
+            tip = ledger._blocks[-1]
+            ledger._blocks.append(Block(tip.height + 1, block_hash(tip), bytes(32), i, 0, 0, ()))
+    return "".join(map(_canonical_line, ledger.blocks)).encode("ascii")
+
+
+MUTATION_CHAIN = _mutation_chain()
+# where a moved byte changes the framing: line breaks, commas, quotes, brackets
+STRUCTURAL = [i for i, b in enumerate(MUTATION_CHAIN) if b in b'\n,"[]{}:']
+positions = st.one_of(st.integers(0, len(MUTATION_CHAIN) - 1), st.sampled_from(STRUCTURAL))
+
+
+@st.composite
+def mutated_chains(draw):
+    raw = bytearray(MUTATION_CHAIN)
+    op = draw(st.sampled_from(["flip", "insert", "delete", "swap"]))
+    pos = draw(positions)
+    if op == "flip":
+        raw[pos] ^= draw(st.integers(1, 255))
+    elif op == "insert":
+        raw.insert(pos, draw(st.sampled_from(b'\n,"[]{}: 0aA') | st.integers(0, 255)))
+    elif op == "delete":
+        del raw[pos]
+    else:
+        other = draw(positions)
+        raw[pos], raw[other] = raw[other], raw[pos]
+    return bytes(raw)
+
+
+def _per_line_reference(path):
+    """The blocks a line-by-line strict parse of the whole file reads."""
+    raw = ledger_module._chain_text(path)
+    return ledger_module._parse_lines(raw[:-1], 1) if raw else []
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_chains())
+def test_chunked_load_refuses_exactly_what_the_per_line_parse_refuses(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_bytes(raw)
+    with mock.patch.object(ledger_module, "_CHUNK_CHARS", 2048):
+        assert len(MUTATION_CHAIN) > 3 * ledger_module._CHUNK_CHARS
+        try:
+            expected = _per_line_reference(path)
+        except LedgerError as exc:
+            with pytest.raises(LedgerError) as refused:
+                ledger_module._load_chain_file(path)
+            assert str(refused.value) == str(exc)
+        else:
+            assert ledger_module._load_chain_file(path) == expected

@@ -314,10 +314,21 @@ class TestAssemble:
         with pytest.raises(InsufficientSharesError):
             reconstruct_key(frags[:2], manifest)
 
+    def test_duplicate_shares_count_once(self):
+        manifest, frags, receipts, ledger = anchored_env(k=8, t=3, seed=9)
+        f1, f2, f3 = frags[:3]
+        with pytest.raises(InsufficientSharesError) as exc:
+            reconstruct_key([f1, f1, f2], manifest)
+        assert exc.value.indices == (1, 2)
+        assert reconstruct_key([f1, f1, f2, f3], manifest) == reconstruct_key(frags, manifest)
+
     def test_xor_key_needs_every_share(self):
         manifest, frags, receipts, ledger = anchored_env(scheme=KeyScheme.XOR_SPLIT)
         with pytest.raises(InsufficientSharesError):
             reconstruct_key(frags[:3], manifest)
+        with pytest.raises(InsufficientSharesError) as exc:
+            reconstruct_key([*frags[:3], frags[0]], manifest)
+        assert exc.value.indices == (4,)
 
     def test_manifest_must_be_anchored(self):
         manifest, frags, receipts, ledger = anchored_env()
