@@ -2,11 +2,11 @@
 
 Commands: split, anchor, mine, verify, assemble, run, ledger show,
 ledger validate. A workspace directory holds the chain file, the pending
-pool, receipts, and fragment output. anchor reads and writes only the
-pool. mine reads the pool, then of the chain a framing pass over the whole
-file and a strict decode of its last line only; the full chain audit stays
-with verify, assemble, run and ledger validate, which read only the chain
-and refuse a missing one. Exit codes are fixed per outcome:
+pool, receipts, and fragment output. Each command opens only what it uses:
+anchor the `Pool`; mine the `Pool` and `read_tip`, and saves the receipts
+before it appends the block and clears the pool; verify, assemble, run and
+ledger validate the `Chain`, which must exist; ledger show the `Chain` (or
+genesis from memory), then the `Pool`. Exit codes are fixed per outcome:
 0 success, 1 verification or assembly failure, 2 invalid arguments,
 3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
 failure raised under a command maps to its code in EXIT_CODES.
@@ -20,7 +20,6 @@ reproducible; --seed pins all generated randomness.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import random
@@ -28,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 import click
 
@@ -43,13 +42,8 @@ from .fragments import (
     parse_fragment,  # noqa: F401  (karybench's tracer wraps it under this name)
 )
 from .ledger import (
-    DuplicatePendingError,
-    EmptyPoolError,
-    Ledger,
-    LedgerError,
-    ReceiptStore,
-    TipLedger,
-    block_hash,
+    GENESIS, Chain, DuplicatePendingError, EmptyPoolError, LedgerError, Pool, ReceiptStore,
+    append_block, block_hash, mine_block, read_tip, start_chain,
     write_file as _write_file,  # karybench's tracer wraps it under this name
 )
 from . import workflow
@@ -73,6 +67,8 @@ EXIT_CODES = (
 
 TIMESTAMP_ENV = "KARY_TIMESTAMP"
 MAX_CLI_DIFFICULTY = 32
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -177,31 +173,17 @@ def _load_manifest(path: Path) -> PayloadManifest:
         _fail(EXIT_GATE_FAILURE, f"manifest {path} rejected: {exc}")
 
 
-def _open_ledger(
-    cfg: WorkspaceConfig, pool: bool = True, chain: bool = True, kind: type[Ledger] = Ledger
-) -> Ledger:
-    """The workspace ledger, of class `kind`. With `pool` false,
-    `pending.json` is not read and a missing chain file is refused, not
-    created; with `chain` false, the chain file is neither read nor written."""
-    if chain and not pool:
-        _require_chain(cfg)
+def _read(load: Callable[..., _T], *args: object) -> _T:
+    """`load(*args)` on a workspace file; a file it refuses exits 1 as
+    `ledger rejected`."""
     try:
-        return kind(
-            path=cfg.ledger_path if chain else None,
-            pending_path=cfg.pending_path if pool else None,
-            difficulty=cfg.difficulty,
-            min_difficulty=cfg.min_difficulty,
-        )
-    except EmptyPoolError:
-        raise
+        return load(*args)
     except (LedgerError, CanonicalJsonError) as exc:
         _fail(EXIT_GATE_FAILURE, f"ledger rejected: {exc}")
 
 
-def _require_chain(cfg: WorkspaceConfig) -> None:
-    """Refuse a workspace without a chain file, for commands that only read it."""
-    if not cfg.ledger_path.exists():
-        raise FileNotFoundError(errno.ENOENT, "no chain file", str(cfg.ledger_path))
+def _chain(cfg: WorkspaceConfig) -> Chain:
+    return _read(Chain, cfg.ledger_path, cfg.min_difficulty)
 
 
 class _KaryGroup(click.Group):
@@ -293,7 +275,7 @@ def split(
 def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
     """Queue the SHA-256 of each file for anchoring in the next block."""
     digests = [sha256(path.read_bytes()) for path in paths]
-    first = _open_ledger(cfg, chain=False).submit_anchor(*digests)
+    first = _read(Pool, cfg.pending_path).submit(*digests)
     for position, (digest, path) in enumerate(zip(digests, paths), start=first):
         click.echo(f"pending[{position}] {digest.hex()}  {path}")
 
@@ -303,13 +285,19 @@ def anchor(cfg: WorkspaceConfig, paths: tuple[Path, ...]) -> None:
 def mine(cfg: WorkspaceConfig) -> None:
     """Mine the pending pool into one block and write its receipts."""
     now = _now()
-    ledger = _open_ledger(cfg, kind=TipLedger)
-    # fail here, not after the block is appended, if receipts cannot be stored
-    cfg.receipts_dir.mkdir(parents=True, exist_ok=True)
-    block, receipts = ledger.mine_block(now)
+    pool = _read(Pool, cfg.pending_path)
+    if not pool.digests:  # refused before the chain file is started
+        raise EmptyPoolError("no pending digests to mine")
+    start_chain(cfg.ledger_path)
+    block, receipts = mine_block(pool.digests, _read(read_tip, cfg.ledger_path),
+                                 cfg.difficulty, now)
+    # receipts, then the block, then the pool: until the pool is cleared,
+    # mining again mends a failure at any step
     store = ReceiptStore(cfg.receipts_dir)
     for receipt in receipts:
         store.save(receipt)
+    append_block(cfg.ledger_path, block)
+    pool.clear()
     click.echo(
         f"mined block {block.height} hash={block_hash(block).hex()} "
         f"nonce={block.nonce} txs={len(block.tx_digests)}"
@@ -318,10 +306,10 @@ def mine(cfg: WorkspaceConfig) -> None:
 
 def _verification(
     cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path, ...]
-) -> tuple[PayloadManifest, list[bytes], ReceiptStore, Ledger]:
+) -> tuple[PayloadManifest, list[bytes], ReceiptStore, Chain]:
     manifest = _load_manifest(manifest_path)
     blobs = [p.read_bytes() for p in fragment_paths]
-    return manifest, blobs, ReceiptStore(cfg.receipts_dir), _open_ledger(cfg, pool=False)
+    return manifest, blobs, ReceiptStore(cfg.receipts_dir), _chain(cfg)
 
 
 @main.command()
@@ -331,10 +319,10 @@ def _verification(
 @click.pass_obj
 def verify(cfg: WorkspaceConfig, manifest_path: Path, fragment_paths: tuple[Path, ...]) -> None:
     """Check every fragment and the manifest against the ledger."""
-    manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
-    chain_ok = ledger.validate_chain()
-    manifest_result = workflow.verify_manifest_anchor(manifest, receipts, ledger)
-    statuses = workflow.verify_fragments(blobs, manifest, receipts, ledger)
+    manifest, blobs, receipts, chain = _verification(cfg, manifest_path, fragment_paths)
+    chain_ok = chain.validate_chain()
+    manifest_result = workflow.verify_manifest_anchor(manifest, receipts, chain)
+    statuses = workflow.verify_fragments(blobs, manifest, receipts, chain)
     # by index; where an unparseable blob's argument position equals a
     # parsed fragment's index, the parsed fragment's row comes first
     statuses.sort(key=lambda s: (s.index, isinstance(s.fragment, FragmentError)))
@@ -384,8 +372,8 @@ def assemble(
     out: Path | None,
 ) -> None:
     """Verify, reconstruct the key, and decrypt the payload."""
-    manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
-    payload, report = workflow.assemble(blobs, manifest, receipts, ledger, method.upper())
+    manifest, blobs, receipts, chain = _verification(cfg, manifest_path, fragment_paths)
+    payload, report = workflow.assemble(blobs, manifest, receipts, chain, method.upper())
     out = out if out is not None else cfg.root / "recovered.bin"
     _write_file(out, payload)
     _write_json(cfg.root / "assembly_report.json", report.to_json_dict())
@@ -408,11 +396,11 @@ def run(
     """Assemble, then activate each fragment under its class semantics."""
     # a refused run leaves this empty trace, never the trace of an earlier
     # run; a workspace without a chain is refused before anything is written
-    _require_chain(cfg)
     trace_path = cfg.root / "activation_trace.json"
-    _write_json(trace_path, {"activation_trace": []})
-    manifest, blobs, receipts, ledger = _verification(cfg, manifest_path, fragment_paths)
-    payload, report = workflow.run(blobs, manifest, receipts, ledger, method.upper())
+    if cfg.ledger_path.exists():
+        _write_json(trace_path, {"activation_trace": []})
+    manifest, blobs, receipts, chain = _verification(cfg, manifest_path, fragment_paths)
+    payload, report = workflow.run(blobs, manifest, receipts, chain, method.upper())
     report_json = report.to_json_dict()
     trace = report_json["activation_trace"]
     _write_json(trace_path, {"activation_trace": trace})
@@ -431,22 +419,21 @@ def ledger_show(cfg: WorkspaceConfig) -> None:
     """Print one line per stored block, then the pool size; without a chain
     file, genesis only. The pool is read after the blocks are printed, so a
     torn one still shows the chain before it is refused."""
-    ledger = _open_ledger(cfg, pool=False, chain=cfg.ledger_path.exists())
-    for block in ledger.blocks:
+    blocks = _chain(cfg).blocks if cfg.ledger_path.exists() else (GENESIS,)
+    for block in blocks:
         click.echo(
             f"height={block.height} hash={block_hash(block).hex()} "
             f"txs={len(block.tx_digests)} timestamp={block.timestamp} "
             f"difficulty={block.difficulty} nonce={block.nonce}"
         )
-    click.echo(f"pending: {len(_open_ledger(cfg, chain=False).pending)}")
+    click.echo(f"pending: {len(_read(Pool, cfg.pending_path).digests)}")
 
 
 @ledger_group.command(name="validate")
 @click.pass_obj
 def ledger_validate(cfg: WorkspaceConfig) -> None:
     """Audit the stored chain; exit 0 only if it is fully valid."""
-    ledger = _open_ledger(cfg, pool=False)
-    if ledger.validate_chain():
+    if _chain(cfg).validate_chain():
         click.echo("chain valid")
         sys.exit(EXIT_OK)
     click.echo("chain INVALID")

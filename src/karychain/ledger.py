@@ -7,9 +7,9 @@ the required number of leading zero bits. Each anchored digest gets a
 receipt carrying its Merkle inclusion path plus the block reference, so
 existence and integrity can be re-verified later against the stored chain.
 
-`Ledger.validate_chain` is the one judge of blocks: heights, hash links,
+`Chain.validate_chain` is the one judge of blocks: heights, hash links,
 Merkle roots, proof of work and an empty genesis. Past genesis, the
-difficulty a block states must reach the ledger's `min_difficulty` floor.
+difficulty a block states must reach the chain's `min_difficulty` floor.
 `verify_receipt` checks only the receipt against a block of a chain that
 passes that audit.
 
@@ -19,8 +19,10 @@ levels contribute no path entry. The chain persists as an append-only file
 of canonical-JSON lines, each exactly what `_line_of` writes for its block,
 receipts as one canonical-JSON file per digest.
 
-The ledger is a single logical writer: submissions and mining serialize on
-one lock, reads work on consistent snapshots.
+Each workspace file has one owner: `Pool` the pending pool's; `Chain`
+(every block), `read_tip` (the last), `start_chain` (the genesis line) and
+`append_block` the chain file's. `mine_block` is pure. `Ledger`, the
+library's facade, is a `Chain` that also holds a `Pool`.
 """
 
 from __future__ import annotations
@@ -240,49 +242,104 @@ GENESIS = Block(
 
 
 # ---------------------------------------------------------------------------
-# Ledger
+# Mining, the pool and the chain
 
 
-class Ledger:
-    """Chain state plus the pending pool, optionally persisted to disk.
+def mine_block(digests: Sequence[bytes], tip: Block, difficulty: int,
+               now: int) -> tuple[Block, list[AnchorReceipt]]:
+    """One proof-of-work block of `digests`, in order, linked to `tip`, and
+    a receipt per digest. Pure: it reads and writes nothing."""
+    U64.check(now, "timestamp")
+    if not digests:
+        raise EmptyPoolError("no pending digests to mine")
+    txs = tuple(digests)
+    levels = _merkle_levels(txs)
+    root = levels[-1][0]
+    fields = (tip.height + 1, block_hash(tip), root, now, difficulty)
+    prefix = _HEADER.pack(*fields, 0)[: -_NONCE.size]
+    nonce, bh = _first_nonce(prefix, difficulty)
+    block = Block(*fields, nonce=nonce, tx_digests=txs)
+    receipts = [AnchorReceipt(d, block.height, bh, root, tuple(_path_in(levels, i)), now)
+                for i, d in enumerate(txs)]
+    return block, receipts
 
-    With a path, the chain file is loaded strictly (every line must be the
-    canonical encoding of its block) and each mined block appends one line.
-    A pending path persists the pool between processes. A ledger that
-    would mine below its own `min_difficulty` floor is refused.
-    """
 
-    def __init__(
-        self,
-        path: Path | None = None,
-        pending_path: Path | None = None,
-        difficulty: int = 8,
-        min_difficulty: int = 0,
-    ):
-        self.difficulty = _DIFFICULTY.check(difficulty, "difficulty")
-        self.min_difficulty = _DIFFICULTY.check(min_difficulty, "min_difficulty")
-        if difficulty < min_difficulty:
-            raise ValueError(f"difficulty {difficulty} is below min_difficulty {min_difficulty}")
+class Pool:
+    """The pending pool: distinct digests waiting, in order, for the next
+    block. With a path it is that file (`pending.json`), loaded strictly and
+    rewritten whole on every change; a missing file is an empty pool."""
+
+    def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.pending_path = Path(pending_path) if pending_path is not None else None
-        self._lock = threading.Lock()
-        self._blocks: list[Block] = []
         # insertion-ordered, so membership is O(1) and the order is kept
-        self._pending: dict[bytes, None] = {}
+        self._digests: dict[bytes, None] = {}
+        if self.path is None or not self.path.exists():
+            return
+        try:
+            text = self.path.read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise LedgerError(f"pending pool file is not ASCII: {exc}") from exc
+        obj = canonical_loads_strict(text)
+        try:
+            digests = DIGESTS.check(DIGESTS.decode(obj, "pending pool"), "pending pool")
+        except ValueError as exc:
+            raise LedgerError(str(exc)) from exc
+        self._digests = dict.fromkeys(digests)
+        if len(self._digests) != len(digests):
+            raise LedgerError("pending pool lists a digest twice")
+
+    @property
+    def digests(self) -> tuple[bytes, ...]:
+        return tuple(self._digests)
+
+    def submit(self, *digests: bytes) -> int:
+        """Queue digests, in order, with one pool write; returns the first
+        one's position.
+
+        All or none: a digest already pending or given twice raises
+        DuplicatePendingError before the pool file is touched, and after any
+        failure the pool in memory is as it was.
+        """
+        for d in digests:
+            DIGEST.check(d, "digest")
+        pool = self._digests
+        position = len(pool)
+        try:
+            for d in digests:
+                if d in pool:
+                    raise DuplicatePendingError(f"digest {d.hex()} is already pending")
+                pool[d] = None
+            self._write()
+        except BaseException:
+            while len(pool) > position:
+                pool.popitem()
+            raise
+        return position
+
+    def clear(self) -> None:
+        """Drain the pool, once its digests are in a block."""
+        self._digests.clear()
+        self._write()
+
+    def _write(self) -> None:
+        if self.path is not None:
+            write_file(self.path, canonical_dumps(DIGESTS.encode(self._digests)).encode("ascii"))
+
+
+class Chain:
+    """The blocks of a chain file, loaded strictly: every line must be the
+    canonical encoding of its block; a missing file raises FileNotFoundError.
+    Without a path the chain is genesis alone, in memory."""
+
+    def __init__(self, path: Path | None = None, min_difficulty: int = 0):
+        self.path = Path(path) if path is not None else None
+        self.min_difficulty = _DIFFICULTY.check(min_difficulty, "min_difficulty")
+        self._lock = threading.Lock()
+        self._blocks = [GENESIS] if self.path is None else _load_chain_file(self.path)
+        if not self._blocks:
+            raise LedgerError(f"ledger file {self.path} is empty")
         # the last audit: (blocks covered, their hashes, verdict)
         self._audit: tuple[list[Block], list[bytes], bool] = ([], [], True)
-        if self.path is not None and self.path.exists():
-            self._blocks = _load_chain_file(self.path)
-            if not self._blocks:
-                raise LedgerError(f"ledger file {self.path} is empty")
-        # read before the genesis write below, so a refused pool leaves no
-        # new chain file behind
-        if self.pending_path is not None and self.pending_path.exists():
-            self._pending = _load_pending_file(self.pending_path)
-        if not self._blocks:
-            self._blocks = [GENESIS]
-            if self.path is not None:
-                write_file(self.path, _block_line(GENESIS).encode("ascii"))
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -293,70 +350,6 @@ class Ledger:
     def height(self) -> int:
         with self._lock:
             return self._blocks[-1].height
-
-    @property
-    def pending(self) -> tuple[bytes, ...]:
-        with self._lock:
-            return tuple(self._pending)
-
-    def submit_anchor(self, digest: bytes, *more: bytes) -> int:
-        """Queue digests, in order, for the next block with one pool write;
-        returns the first one's pool position.
-
-        All or none: a digest already pending or given twice raises
-        DuplicatePendingError before the pool file is touched, and after any
-        failure the pool in memory is as it was.
-        """
-        digests = (digest,) + more
-        for d in digests:
-            DIGEST.check(d, "digest")
-        with self._lock:
-            pending = self._pending
-            position = len(pending)
-            try:
-                for d in digests:
-                    if d in pending:
-                        raise DuplicatePendingError(f"digest {d.hex()} is already pending")
-                    pending[d] = None
-                self._write_pending_locked()
-            except BaseException:
-                while len(pending) > position:
-                    pending.popitem()
-                raise
-        return position
-
-    def mine_block(self, now: int) -> tuple[Block, list[AnchorReceipt]]:
-        """Drain the pool into one proof-of-work block and emit receipts."""
-        U64.check(now, "timestamp")
-        with self._lock:
-            if not self._pending:
-                raise EmptyPoolError("no pending digests to mine")
-            txs = tuple(self._pending)
-            tip = self._blocks[-1]
-            levels = _merkle_levels(txs)
-            root = levels[-1][0]
-            fields = (tip.height + 1, block_hash(tip), root, now, self.difficulty)
-            prefix = _HEADER.pack(*fields, 0)[: -_NONCE.size]
-            nonce, bh = _first_nonce(prefix, self.difficulty)
-            block = Block(*fields, nonce=nonce, tx_digests=txs)
-            receipts = [
-                AnchorReceipt(
-                    target_digest=d,
-                    block_height=block.height,
-                    block_hash=bh,
-                    merkle_root=root,
-                    merkle_path=tuple(_path_in(levels, i)),
-                    anchor_timestamp=now,
-                )
-                for i, d in enumerate(txs)
-            ]
-            self._blocks.append(block)
-            self._pending.clear()
-            if self.path is not None:
-                with self.path.open("a", encoding="ascii") as fh:
-                    fh.write(_block_line(block))
-            self._write_pending_locked()
-        return block, receipts
 
     def verify_receipt(self, digest: bytes, receipt: AnchorReceipt) -> VerifyResult:
         """Check a receipt against the digest and a block of the audited chain.
@@ -435,33 +428,47 @@ class Ledger:
             self._audit = audit
         return audit
 
-    def _write_pending_locked(self) -> None:
-        if self.pending_path is not None:
-            text = canonical_dumps(DIGESTS.encode(self._pending))
-            write_file(self.pending_path, text.encode("ascii"))
 
+class Ledger(Chain):
+    """The library's ledger: a `Chain` that holds a `Pool` and mines it onto
+    its tip under the chain's lock. A new chain file is started with genesis;
+    each mined block appends one line. A pending path persists the pool
+    between processes. A ledger that would mine below its own
+    `min_difficulty` floor is refused."""
 
-class TipLedger(Ledger):
-    """The pool and the chain's last block, all that `mine_block` reads:
-    `blocks`, `validate_chain` and `verify_receipt` raise LedgerError. An
-    empty pool is refused before a missing chain file is started."""
-
-    def __init__(self, path: Path, pending_path: Path, **difficulties: int):
-        super().__init__(pending_path=pending_path, **difficulties)
-        if not self._pending:
-            raise EmptyPoolError("no pending digests to mine")
-        self.path = Path(path)
-        if self.path.exists():
-            self._blocks = [_load_chain_tip(self.path)]
-        else:
-            write_file(self.path, _block_line(GENESIS).encode("ascii"))
+    def __init__(self, path: Path | None = None, pending_path: Path | None = None,
+                 difficulty: int = 8, min_difficulty: int = 0):
+        self.difficulty = _DIFFICULTY.check(difficulty, "difficulty")
+        if difficulty < _DIFFICULTY.check(min_difficulty, "min_difficulty"):
+            raise ValueError(f"difficulty {difficulty} is below min_difficulty {min_difficulty}")
+        # read first, so that a refused pool leaves no new chain file behind
+        self._pool = Pool(pending_path)
+        self.pending_path = self._pool.path
+        path = Path(path) if path is not None else None
+        # a chain file started here holds genesis alone: not read back
+        started = path is not None and start_chain(path)
+        super().__init__(None if started else path, min_difficulty)
+        self.path = path
 
     @property
-    def blocks(self) -> tuple[Block, ...]:
-        raise LedgerError("only the chain's tip was read")
+    def pending(self) -> tuple[bytes, ...]:
+        with self._lock:
+            return self._pool.digests
 
-    def _audited(self) -> tuple[list[Block], list[bytes], bool]:
-        raise LedgerError("only the chain's tip was read")
+    def submit_anchor(self, digest: bytes, *more: bytes) -> int:
+        """Queue digests for the next block; see `Pool.submit`."""
+        with self._lock:
+            return self._pool.submit(digest, *more)
+
+    def mine_block(self, now: int) -> tuple[Block, list[AnchorReceipt]]:
+        """Drain the pool into one proof-of-work block and emit receipts."""
+        with self._lock:
+            block, receipts = mine_block(self._pool.digests, self._blocks[-1], self.difficulty, now)
+            if self.path is not None:
+                append_block(self.path, block)
+            self._blocks.append(block)
+            self._pool.clear()
+        return block, receipts
 
 
 def write_file(path: Path, data: bytes) -> None:
@@ -493,6 +500,21 @@ def _line_of(obj: dict) -> str:
 
 def _block_line(block: Block) -> str:
     return _line_of(block.to_json_dict()) + "\n"
+
+
+def start_chain(path: Path) -> bool:
+    """Start a chain file with the genesis line unless one exists, and say
+    whether it did: the only writer of a genesis line."""
+    if path.exists():
+        return False
+    write_file(path, _block_line(GENESIS).encode("ascii"))
+    return True
+
+
+def append_block(path: Path, block: Block) -> None:
+    """Append one block's line to the chain file: the only chain append."""
+    with path.open("a", encoding="ascii") as fh:
+        fh.write(_block_line(block))
 
 
 # A chain file is parsed one chunk of whole lines at a time, each chunk as
@@ -534,7 +556,7 @@ def _load_chain_file(path: Path) -> list[Block]:
     return blocks
 
 
-def _load_chain_tip(path: Path) -> Block:
+def read_tip(path: Path) -> Block:
     """The chain file's last block. The whole file must be framed as block
     lines, with no "\r", which would hide a line break from the count; only
     its last line is decoded, strictly: the chain audit reads the rest."""
@@ -584,23 +606,6 @@ def _parse_lines(chunk: str, first_lineno: int) -> list[Block]:
         except CanonicalJsonError as exc:
             raise LedgerError(f"ledger line {lineno}: {exc}") from exc
     return blocks
-
-
-def _load_pending_file(path: Path) -> dict[bytes, None]:
-    """The pool as `pending.json` holds it: a list of distinct digests."""
-    try:
-        text = path.read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise LedgerError(f"pending pool file is not ASCII: {exc}") from exc
-    obj = canonical_loads_strict(text)
-    try:
-        digests = DIGESTS.check(DIGESTS.decode(obj, "pending pool"), "pending pool")
-    except ValueError as exc:
-        raise LedgerError(str(exc)) from exc
-    pool = dict.fromkeys(digests)
-    if len(pool) != len(digests):
-        raise LedgerError("pending pool lists a digest twice")
-    return pool
 
 
 class ReceiptStore:

@@ -53,7 +53,7 @@ from .fragments import (
     partition_payload,
     unpartition,
 )
-from .ledger import AnchorReceipt, Ledger, ReceiptStore, VerifyResult
+from .ledger import AnchorReceipt, Chain, ReceiptStore, VerifyResult
 from .sharing import (
     SecretShare,
     reconstruct_lagrange,
@@ -227,7 +227,7 @@ def verify_fragments(
     fragment_blobs: Sequence[bytes],
     manifest: PayloadManifest,
     receipts: Receipts,
-    ledger: Ledger,
+    ledger: Chain,
 ) -> list[FragmentStatus]:
     """Independently check anchoring, slice digest, and dependency digests.
 
@@ -318,13 +318,13 @@ def _parsed(fragments: Sequence[bytes | Fragment]) -> list[Fragment]:
 def verify_manifest_anchor(
     manifest: PayloadManifest,
     receipts: Receipts,
-    ledger: Ledger,
+    ledger: Chain,
 ) -> VerifyResult:
     """The manifest's canonical digest must itself be anchored and verifiable."""
     return _verify_anchor(manifest.digest(), receipts, ledger)
 
 
-def _verify_anchor(digest: bytes, receipts: Receipts, ledger: Ledger) -> VerifyResult:
+def _verify_anchor(digest: bytes, receipts: Receipts, ledger: Chain) -> VerifyResult:
     receipt = receipts.get(digest)
     if receipt is None:
         return VerifyResult(False, "unanchored")
@@ -378,7 +378,7 @@ def assemble(
     fragment_blobs: Sequence[bytes],
     manifest: PayloadManifest,
     receipts: Receipts,
-    ledger: Ledger,
+    ledger: Chain,
     method: str = NEVILLE,
 ) -> tuple[bytes, AssemblyReport]:
     """Verify everything, reconstruct the key, reassemble, and decrypt.
@@ -394,7 +394,7 @@ def run(
     fragment_blobs: Sequence[bytes],
     manifest: PayloadManifest,
     receipts: Receipts,
-    ledger: Ledger,
+    ledger: Chain,
     method: str = NEVILLE,
 ) -> tuple[bytes, AssemblyReport]:
     """`assemble`, then `execute` the fragments the gate parsed; the report
@@ -408,7 +408,7 @@ def _assemble(
     fragment_blobs: Sequence[bytes],
     manifest: PayloadManifest,
     receipts: Receipts,
-    ledger: Ledger,
+    ledger: Chain,
     method: str,
 ) -> tuple[bytes, AssemblyReport, list[Fragment]]:
     """The gate behind `assemble` and `run`; also returns the parsed fragments."""

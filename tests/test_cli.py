@@ -1,5 +1,6 @@
 """CLI tests: command wiring, exit codes, and reproducible runs."""
 
+import errno
 import hashlib
 import json
 import os
@@ -12,10 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 import karychain
-from karychain import ledger as ledger_module
+from karychain import cli as cli_module, ledger as ledger_module
 from karychain.cli import main
 from karychain.fragments import PayloadManifest, parse_fragment
-from karychain.ledger import GENESIS, Ledger, block_hash
+from karychain.ledger import GENESIS, Chain, Ledger, Pool, ReceiptStore, block_hash
 
 PAYLOAD = b"cli demo payload " * 64
 # verify_report.json of test_unparseable_fragment_row_is_pinned, computed
@@ -820,6 +821,87 @@ class TestMineReadsTheTip:
         assert tree_sha256(root) == before
         assert (root / "ledger.jsonl").exists() == bool(blocks)
         assert not (root / "receipts").exists()
+
+
+class TestMineWriteOrder:
+    """`kary mine` saves every receipt, then appends the block, then clears
+    the pool: wherever it fails, mining again leaves every pooled digest
+    with a receipt that verifies."""
+
+    @staticmethod
+    def _fail_second_save(monkeypatch):
+        save = ReceiptStore.save
+        saved = []
+
+        def failing(store, receipt):
+            saved.append(receipt)
+            if len(saved) == 2:
+                raise OSError(errno.ENOSPC, "no space left for a receipt")
+            return save(store, receipt)
+
+        monkeypatch.setattr(ReceiptStore, "save", failing)
+
+    @staticmethod
+    def _fail(name):
+        def failing(*args):
+            raise OSError(errno.EIO, f"{name} failed")
+
+        return failing
+
+    @pytest.mark.parametrize("step, grows", [
+        ("second receipt", False), ("block append", False), ("pool clear", True),
+    ])
+    def test_mining_again_mends_a_failed_mine(self, runner, tmp_path, monkeypatch, step, grows):
+        root = tmp_path / "ws"
+        tip_workspace(root, 3, 5)
+        chain, pending = root / "ledger.jsonl", root / "pending.json"
+        before = chain.read_bytes(), pending.read_bytes()
+        digests = Pool(pending).digests
+        if step == "second receipt":
+            self._fail_second_save(monkeypatch)
+        elif step == "block append":
+            monkeypatch.setattr(cli_module, "append_block", self._fail(step))
+        else:
+            monkeypatch.setattr(Pool, "clear", self._fail(step))
+        args = ["--workspace", str(root), "--difficulty", "0", "mine"]
+        res = runner.invoke(main, args, env={"KARY_TIMESTAMP": "1700000000"})
+        assert res.exit_code == 3, res.output
+        assert pending.read_bytes() == before[1]
+        if grows:
+            assert chain.read_bytes().startswith(before[0])
+            assert chain.read_bytes().count(b"\n") == 4
+        else:
+            assert chain.read_bytes() == before[0]
+        monkeypatch.undo()
+        res = runner.invoke(main, args, env={"KARY_TIMESTAMP": "1700000001"})
+        assert res.exit_code == 0, res.output
+        assert pending.read_bytes() == b"[]"
+        reopened = Chain(chain)
+        assert reopened.validate_chain()
+        store = ReceiptStore(root / "receipts")
+        assert all(reopened.verify_receipt(d, store.load(d)) for d in digests)
+
+    def test_receipt_blocked_by_a_directory_changes_nothing(self, tmp_path):
+        (tmp_path / "p.bin").write_bytes(PAYLOAD)
+        (tmp_path / "q.bin").write_bytes(b"queued second")
+        root = tmp_path / "ws"
+        res = run_kary(root, "anchor", str(tmp_path / "p.bin"), str(tmp_path / "q.bin"))
+        assert res.returncode == 0, res.stderr
+        blocker = root / "receipts" / f"{hashlib.sha256(b'queued second').hexdigest()}.receipt.json"
+        blocker.mkdir(parents=True)
+        pool = (root / "pending.json").read_bytes()
+        res = run_kary(root, "--difficulty", "0", "mine")
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert (root / "pending.json").read_bytes() == pool
+        # the chain file is started with genesis alone; the block is not appended
+        assert (root / "ledger.jsonl").read_text(encoding="ascii").count("\n") == 1
+        blocker.rmdir()
+        assert run_kary(root, "--difficulty", "0", "mine").returncode == 0
+        chain = Chain(root / "ledger.jsonl")
+        store = ReceiptStore(root / "receipts")
+        digests = [hashlib.sha256(PAYLOAD).digest(), hashlib.sha256(b"queued second").digest()]
+        assert all(chain.verify_receipt(d, store.load(d)) for d in digests)
 
 
 class TestProofOfWorkFloor:

@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import random
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from karychain import ledger as ledger_module
 
@@ -16,12 +20,13 @@ from karychain.ledger import (
     GENESIS,
     AnchorReceipt,
     Block,
+    Chain,
     DuplicatePendingError,
     EmptyPoolError,
     Ledger,
     LedgerError,
+    Pool,
     ReceiptStore,
-    TipLedger,
     apply_merkle_path,
     block_hash,
     merkle_path_of,
@@ -957,31 +962,30 @@ class TestChunkedLoad:
         assert undetected == []
 
 
-class TestTipLedger:
-    """A ledger that read only the chain's tip mines the block a fully
-    loaded one would, and refuses to answer about the rest of the chain."""
+class TestReadTip:
+    """`read_tip`, the pure `mine_block` and `append_block`, run part by part
+    as `kary mine` runs them, mine what a fully loaded `Ledger` mines."""
 
-    def test_mines_on_the_tip_and_answers_nothing_else(self, tmp_path, rng):
+    def test_part_wise_mining_matches_the_facade(self, tmp_path, rng):
         path, ledger, _ = TestChunkedLoad.chain(tmp_path, rng, blocks=40)
-        assert ledger_module._load_chain_tip(path) == ledger.blocks[-1]
+        tip = ledger_module.read_tip(path)
+        assert tip == ledger.blocks[-1]
         full_path = tmp_path / "full.jsonl"
         full_path.write_bytes(path.read_bytes())
         full = Ledger(full_path, difficulty=4)
         pending = tmp_path / "pending.json"
         digests = [rng.randbytes(32) for _ in range(3)]
-        Ledger(pending_path=pending).submit_anchor(*digests)
+        Pool(pending).submit(*digests)
         full.submit_anchor(*digests)
-        tip = TipLedger(path, pending, difficulty=4)
         assert tip.height == full.height == 40
-        block, receipts = tip.mine_block(now=99)
+        pool = Pool(pending)
+        block, receipts = ledger_module.mine_block(pool.digests, tip, 4, 99)
         assert (block, receipts) == full.mine_block(now=99)
+        ledger_module.append_block(path, block)
+        pool.clear()
         assert path.read_bytes() == full_path.read_bytes()
         assert pending.read_bytes() == b"[]"
-        for answer in (lambda: tip.blocks, tip.validate_chain,
-                       lambda: tip.verify_receipt(digests[0], receipts[0])):
-            with pytest.raises(LedgerError, match="only the chain's tip was read"):
-                answer()
-        reloaded = Ledger(path, difficulty=4)
+        reloaded = Chain(path)
         assert reloaded.validate_chain()
         assert all(reloaded.verify_receipt(d, r) for d, r in zip(digests, receipts))
 
@@ -1109,3 +1113,79 @@ def test_chunked_load_refuses_exactly_what_the_per_line_parse_refuses(tmp_path_f
             assert str(refused.value) == str(exc)
         else:
             assert ledger_module._load_chain_file(path) == expected
+
+
+class PoolAndChainMachine(RuleBasedStateMachine):
+    """The `Ledger` facade in one directory and `kary mine`'s part-wise
+    sequence (`Pool`, `start_chain`, `read_tip`, the pure `mine_block`,
+    `append_block`, `Pool.clear`) in a twin directory, driven alike: both
+    keep the same files, and every receipt either issued verifies."""
+
+    DIGESTS = [h(b"state %d" % i) for i in range(6)]
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="karychain-state-"))
+        self.facade_dir, self.parts_dir = self.root / "facade", self.root / "parts"
+        self.ledger = self._open_facade()
+        self.pending: list[bytes] = []
+        self.issued: list[AnchorReceipt] = []
+
+    def _open_facade(self):
+        d = self.facade_dir
+        return Ledger(d / "ledger.jsonl", d / "pending.json", difficulty=2)
+
+    def teardown(self):
+        shutil.rmtree(self.root)
+
+    @rule(batch=st.lists(st.sampled_from(DIGESTS), min_size=1, max_size=3))
+    def submit(self, batch):
+        refused = len(set(batch)) < len(batch) or any(d in self.pending for d in batch)
+        for submit in (self.ledger.submit_anchor, Pool(self.parts_dir / "pending.json").submit):
+            if refused:
+                with pytest.raises(DuplicatePendingError):
+                    submit(*batch)
+            else:
+                assert submit(*batch) == len(self.pending)
+        if not refused:
+            self.pending += batch
+
+    @rule(now=st.integers(0, 2**64 - 1))
+    def mine(self, now):
+        pool = Pool(self.parts_dir / "pending.json")
+        if not self.pending:
+            with pytest.raises(EmptyPoolError):
+                self.ledger.mine_block(now)
+            assert pool.digests == ()
+            return
+        chain = self.parts_dir / "ledger.jsonl"
+        ledger_module.start_chain(chain)
+        mined = ledger_module.mine_block(pool.digests, ledger_module.read_tip(chain), 2, now)
+        ledger_module.append_block(chain, mined[0])
+        pool.clear()
+        assert self.ledger.mine_block(now) == mined
+        self.issued += mined[1]
+        self.pending = []
+
+    @rule()
+    def reopen(self):
+        self.ledger = self._open_facade()
+
+    @invariant()
+    def files_agree(self):
+        facade = Chain(self.facade_dir / "ledger.jsonl")
+        parts = self.parts_dir / "ledger.jsonl"
+        if parts.exists():
+            assert parts.read_bytes() == (self.facade_dir / "ledger.jsonl").read_bytes()
+        else:
+            assert facade.blocks == (GENESIS,)
+        assert facade.validate_chain()
+        assert all(facade.verify_receipt(r.target_digest, r) for r in self.issued)
+        for d in (self.facade_dir, self.parts_dir):
+            assert Pool(d / "pending.json").digests == tuple(self.pending)
+        assert self.ledger.pending == tuple(self.pending)
+
+
+TestPoolAndChain = PoolAndChainMachine.TestCase
+TestPoolAndChain.settings = settings(
+    max_examples=100, stateful_step_count=20, deadline=None, derandomize=True)
