@@ -106,7 +106,7 @@ class WorkspaceConfig:
         if config_path.exists():
             try:
                 defaults = json.loads(config_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise click.UsageError(f"cannot read {config_path}: {exc}")
             except RecursionError:
                 raise click.UsageError(f"{config_path} nests too deeply") from None

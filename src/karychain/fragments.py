@@ -39,6 +39,7 @@ from .canonical import (
     canonical_bytes,
     canonical_loads_strict,
     sha256,
+    sha256_each,
 )
 
 MAGIC = b"KARY"
@@ -131,8 +132,9 @@ class Fragment:
 
     @cached_property
     def slice_digest(self) -> bytes:
-        # Computed once per fragment; the slice is immutable bytes, so the
-        # cached value stays valid and is left out of eq/hash.
+        # Computed once per fragment, here or by `cache_slice_digests`; the
+        # slice is immutable bytes, so the cached value stays valid and is
+        # left out of eq/hash.
         return sha256(self.slice)
 
     def serialize(self) -> bytes:
@@ -149,6 +151,17 @@ class Fragment:
                 *self.dep_digests,
             ]
         )
+
+
+def cache_slice_digests(frags: Sequence[Fragment], blobs: Sequence[bytes] = ()) -> list[bytes]:
+    """Hash the blobs and the slices of `frags` not hashed yet in one
+    `sha256_each` batch, cache those slices' digests, and return the blobs'
+    digests."""
+    todo = [frag for frag in frags if "slice_digest" not in frag.__dict__]
+    digests = sha256_each([*blobs, *(frag.slice for frag in todo)])
+    for frag, digest in zip(todo, digests[len(blobs):]):
+        frag.__dict__["slice_digest"] = digest
+    return digests[: len(blobs)]
 
 
 class _Reader:

@@ -19,6 +19,14 @@ and activation (`run`), and it hashes each slice once
 (`Fragment.slice_digest` is cached), however many other fragments embed
 that slice's digest. Receipts come from a dict or a `ReceiptStore`.
 
+The large hashes go to `sha256_each` one batch at a time: the producer's
+slices, ciphertext and plaintext; the gate's blobs and their slices; the
+reassembled ciphertext and plaintext; and the slices an I_A or I_C
+activation re-checks. A batch of at least 1 MiB whose chunks average at
+least 64 KiB is split between the calling thread and one helper thread
+when the process may run on two CPUs. Other batches, such as a 64 KiB
+payload's at k=255 (about 4 KiB per chunk), are hashed serially.
+
 Activation follows the class code: Class I runs actions in index order
 (I_A and I_C re-check dependency digests immediately before each
 activation, comparing the cached digests of the immutable slices), Class II
@@ -37,7 +45,8 @@ from typing import Any, Callable, Mapping, Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from .canonical import sha256
+from .canonical import sha256  # noqa: F401  (karybench's tracer wraps it under this name)
+from .canonical import sha256_each
 from .fragments import (
     NONCE_LEN,
     ClassCode,
@@ -48,6 +57,7 @@ from .fragments import (
     PayloadManifest,
     _serialize_fragments,
     build_fragments,  # noqa: F401  (karybench's tracer wraps it under this name)
+    cache_slice_digests,
     dep_indices,
     parse_fragment,
     partition_payload,
@@ -200,6 +210,9 @@ def produce(
     nonce = rng.randbytes(NONCE_LEN)
     ciphertext = ChaCha20Poly1305(key).encrypt(nonce, payload, None)
     slices = partition_payload(ciphertext, k, strategy)
+    *slice_digests, ciphertext_digest, plaintext_digest = sha256_each(
+        [*slices, ciphertext, payload]
+    )
     if key_scheme is KeyScheme.XOR_SPLIT:
         shares = split_secret_xor(key, k, rng)
     else:
@@ -212,9 +225,9 @@ def produce(
         partition_strategy=strategy,
         partition_seed=partition_seed,
         nonce=nonce,
-        slice_digests=tuple(sha256(s) for s in slices),
-        ciphertext_digest=sha256(ciphertext),
-        plaintext_digest=sha256(payload),
+        slice_digests=tuple(slice_digests),
+        ciphertext_digest=ciphertext_digest,
+        plaintext_digest=plaintext_digest,
     )
     return manifest, _serialize_fragments(slices, shares, manifest)
 
@@ -238,6 +251,7 @@ def verify_fragments(
     "unparseable: ..." and the FragmentError as its fragment.
     """
     parsed: list[Fragment | FragmentError] = []
+    frags, frag_blobs = [], []
     by_index: dict[int, Fragment] = {}
     duplicates = set()
     for blob in fragment_blobs:
@@ -247,9 +261,12 @@ def verify_fragments(
             parsed.append(exc)
             continue
         parsed.append(frag)
+        frags.append(frag)
+        frag_blobs.append(blob)
         if frag.index in by_index:
             duplicates.add(frag.index)
         by_index[frag.index] = frag
+    blob_digests = iter(cache_slice_digests(frags, frag_blobs))
     statuses = []
     for position, (blob, frag) in enumerate(zip(fragment_blobs, parsed), start=1):
         if isinstance(frag, FragmentError):
@@ -265,7 +282,7 @@ def verify_fragments(
                 )
             )
             continue
-        anchor = _verify_anchor(sha256(blob), receipts, ledger)
+        anchor = _verify_anchor(next(blob_digests), receipts, ledger)
         consistent = (
             frag.k == manifest.k
             and frag.class_code is manifest.class_code
@@ -434,13 +451,19 @@ def _assemble(
     parsed = sorted((s.fragment for s in statuses), key=lambda f: f.index)
     key = reconstruct_key(parsed, manifest, method)
     ciphertext = unpartition([f.slice for f in parsed], manifest.partition_strategy)
-    if sha256(ciphertext) != manifest.ciphertext_digest:
-        raise VerificationFailure("reassembled ciphertext digest mismatch")
+    # decrypted before the ciphertext is judged, so that both are hashed in
+    # one batch; the checks still refuse in the order of the gate
+    tag_failure = None
     try:
         payload = ChaCha20Poly1305(key).decrypt(manifest.nonce, ciphertext, None)
     except InvalidTag as exc:
-        raise DecryptionError("authenticated decryption failed") from exc
-    if sha256(payload) != manifest.plaintext_digest:
+        payload, tag_failure = b"", exc
+    ciphertext_digest, plaintext_digest = sha256_each([ciphertext, payload])
+    if ciphertext_digest != manifest.ciphertext_digest:
+        raise VerificationFailure("reassembled ciphertext digest mismatch")
+    if tag_failure is not None:
+        raise DecryptionError("authenticated decryption failed") from tag_failure
+    if plaintext_digest != manifest.plaintext_digest:
         raise PlaintextDigestMismatch("recovered payload digest mismatch")
     report = AssemblyReport(
         # the report outlives the gate; it does not pin the parsed slices
@@ -503,6 +526,11 @@ def _execute_sequential(
     clock,
 ) -> list[ActivationEvent]:
     recheck = manifest.class_code in (ClassCode.I_A, ClassCode.I_C)
+    if recheck:
+        # the slices the re-checks compare: every one under I_A, all but
+        # the first under I_C
+        first = 1 if manifest.class_code is ClassCode.I_A else 2
+        cache_slice_digests([by_index[i] for i in range(first, manifest.k + 1)])
     events = []
     for index in range(1, manifest.k + 1):
         frag = by_index[index]

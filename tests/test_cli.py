@@ -628,6 +628,15 @@ class TestWorkspaceConfig:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "config.json" in res.output
 
+    def test_non_utf8_config_is_usage_error(self, runner, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "config.json").write_bytes(b'{"x": "\xff"}')
+        res = runner.invoke(main, ["--workspace", str(root), "ledger", "show"])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "cannot read" in res.output and "config.json" in res.output
+
     def test_config_values_used_and_flags_win(self, runner, tmp_path):
         root = tmp_path / "ws"
         root.mkdir()

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from karychain import canonical as canonical_module
 from karychain import cli as cli_module
 from karychain import fragments as fragments_module
 from karychain import ledger as ledger_module
@@ -376,20 +377,34 @@ class TestAssemble:
                     assemble(mutated_frags, manifest, receipts, ledger)
 
     @pytest.mark.parametrize(
-        "field, error, message",
+        "fields, error, message, payload",
         [
-            ("ciphertext_digest", VerificationFailure, "ciphertext digest mismatch"),
-            ("nonce", DecryptionError, "authenticated decryption failed"),
-            ("plaintext_digest", PlaintextDigestMismatch, "payload digest mismatch"),
+            pytest.param(fields, error, message, payload,
+                         id="-".join([*fields, error.__name__, message]) + suffix)
+            for fields, error, message in [
+                (["ciphertext_digest"], VerificationFailure, "ciphertext digest mismatch"),
+                (["nonce"], DecryptionError, "authenticated decryption failed"),
+                (["plaintext_digest"], PlaintextDigestMismatch, "payload digest mismatch"),
+                # the ciphertext is judged before the tag that also fails
+                (["ciphertext_digest", "nonce"], VerificationFailure,
+                 "ciphertext digest mismatch"),
+            ]
+            # a 2 MiB payload hashes its ciphertext and plaintext on two threads
+            for payload, suffix in [(PAYLOAD, ""), (random.Random(5).randbytes(2 << 20), "-2MiB")]
         ],
     )
-    def test_anchored_altered_manifest_refused_after_the_slices(self, field, error, message):
+    def test_anchored_altered_manifest_refused_after_the_slices(
+        self, monkeypatch, fields, error, message, payload
+    ):
         # the altered manifest is itself anchored, so only the checks after
         # reassembly can refuse it
-        manifest, frags = produce(PAYLOAD, 4, 4, ClassCode.I_B, KeyScheme.SHAMIR,
+        monkeypatch.setattr(canonical_module, "_CPUS", 2)
+        manifest, frags = produce(payload, 4, 4, ClassCode.I_B, KeyScheme.SHAMIR,
                                   PartitionStrategy.CONTIGUOUS, rng=random.Random(5))
-        value = getattr(manifest, field)
-        altered = replace(manifest, **{field: bytes([value[0] ^ 1]) + value[1:]})
+        altered = replace(manifest, **{
+            field: bytes([getattr(manifest, field)[0] ^ 1]) + getattr(manifest, field)[1:]
+            for field in fields
+        })
         ledger = Ledger(difficulty=4)
         ledger.submit_anchor(altered.digest(), *map(sha256, frags))
         _, receipts = ledger.mine_block(now=1_700_000_000)
@@ -531,9 +546,11 @@ class TestGateWork:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Record every blob parsed and every input hashed by the gate."""
+        """Record every blob parsed and every input hashed by the gate, one
+        at a time or in a `sha256_each` batch."""
         seen = {"parsed": Counter(), "hashed": []}
         parse, digest = workflow_module.parse_fragment, fragments_module.sha256
+        digest_each = fragments_module.sha256_each
 
         def counting_parse(blob):
             seen["parsed"][blob] += 1
@@ -543,9 +560,15 @@ class TestGateWork:
             seen["hashed"].append(bytes(data))
             return digest(data)
 
+        def counting_sha256_each(chunks):
+            seen["hashed"].extend(map(bytes, chunks))
+            return digest_each(chunks)
+
         for module in (workflow_module, cli_module):
             monkeypatch.setattr(module, "parse_fragment", counting_parse)
             monkeypatch.setattr(module, "sha256", counting_sha256)
+        for module in (workflow_module, fragments_module):
+            monkeypatch.setattr(module, "sha256_each", counting_sha256_each)
         monkeypatch.setattr(fragments_module, "sha256", counting_sha256)
         return seen
 
@@ -648,3 +671,14 @@ class TestGateWork:
         ciphertext = unpartition([f.slice for f in parsed], PartitionStrategy.INTERLEAVE)
         assert ChaCha20Poly1305(key).decrypt(manifest.nonce, ciphertext, None) == self.PAYLOAD
         assert execute(frags, manifest) == execute(parsed, manifest)
+
+
+class TestGateWorkOnTwoThreads(TestGateWork):
+    """The same counts where the blobs, slices, ciphertext and plaintext are
+    large enough for `sha256_each` to hash them on two threads."""
+
+    PAYLOAD = random.Random(7).randbytes(2 << 20)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(canonical_module, "_CPUS", 2)
