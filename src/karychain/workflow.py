@@ -21,11 +21,11 @@ that slice's digest. Receipts come from a dict or a `ReceiptStore`.
 
 The large hashes go to `sha256_each` one batch at a time: the producer's
 slices, ciphertext and plaintext; the gate's blobs and their slices; the
-reassembled ciphertext and plaintext; and the slices an I_A or I_C
-activation re-checks. A batch of at least 1 MiB whose chunks average at
-least 64 KiB is split between the calling thread and one helper thread
-when the process may run on two CPUs. Other batches, such as a 64 KiB
-payload's at k=255 (about 4 KiB per chunk), are hashed serially.
+reassembled ciphertext and plaintext; and the slices of an I_A or I_C
+activation, before it re-checks them. A batch of at least 1 MiB whose
+chunks average at least 64 KiB is split between the calling thread and one
+helper thread when the process may run on two CPUs. Other batches, such as
+a 64 KiB payload's at k=255 (about 4 KiB per chunk), are hashed serially.
 
 Activation follows the class code: Class I runs actions in index order
 (I_A and I_C re-check dependency digests immediately before each
@@ -527,10 +527,7 @@ def _execute_sequential(
 ) -> list[ActivationEvent]:
     recheck = manifest.class_code in (ClassCode.I_A, ClassCode.I_C)
     if recheck:
-        # the slices the re-checks compare: every one under I_A, all but
-        # the first under I_C
-        first = 1 if manifest.class_code is ClassCode.I_A else 2
-        cache_slice_digests([by_index[i] for i in range(first, manifest.k + 1)])
+        cache_slice_digests(list(by_index.values()))
     events = []
     for index in range(1, manifest.k + 1):
         frag = by_index[index]

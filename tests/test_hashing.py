@@ -106,8 +106,9 @@ def test_split_balances_bytes_between_the_two_threads():
 
 
 @pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs a process allowed on two CPUs",
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or not canonical._other_cpus(),
+    reason="needs a process allowed on two CPUs that can tell which one it runs on",
 )
 def test_helper_asks_for_a_cpu_other_than_the_callers():
     # without the request, a kernel that does not balance load would keep the

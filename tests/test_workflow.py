@@ -682,3 +682,15 @@ class TestGateWorkOnTwoThreads(TestGateWork):
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(canonical_module, "_CPUS", 2)
+
+    @pytest.fixture(autouse=True)
+    def sha256_on_the_calling_thread_only(self, monkeypatch):
+        # karybench's tracer wraps `sha256` under these names with a span
+        # stack that only one thread may touch; the helper calls hashlib alone
+        caller = threading.get_ident()
+        for module in (canonical_module, fragments_module, workflow_module, cli_module):
+            def guarded(data, digest=module.sha256):
+                assert threading.get_ident() == caller, "sha256 called off the calling thread"
+                return digest(data)
+
+            monkeypatch.setattr(module, "sha256", guarded)
