@@ -33,6 +33,7 @@ import click
 
 from .canonical import U64, CanonicalJsonError, IntRange, canonical_dumps, sha256
 from .fragments import (
+    MANIFEST_SUFFIX,
     MAX_K,
     ClassCode,
     FragmentError,
@@ -61,11 +62,11 @@ EXIT_CODES = (
     (DuplicatePendingError, EXIT_DUPLICATE),
     (EmptyPoolError, EXIT_EMPTY_POOL),
     (OSError, EXIT_IO),
-    ((LedgerError, CanonicalJsonError, FragmentError, workflow.AssemblyError,
-      workflow.ExecutionError), EXIT_GATE_FAILURE),
+    ((LedgerError, CanonicalJsonError, FragmentError, workflow.WorkflowError), EXIT_GATE_FAILURE),
 )
 
 TIMESTAMP_ENV = "KARY_TIMESTAMP"
+CONFIG_NAME = "config.json"
 MAX_CLI_DIFFICULTY = 32
 
 _T = TypeVar("_T")
@@ -73,17 +74,19 @@ _T = TypeVar("_T")
 
 @dataclass
 class WorkspaceConfig:
-    """Resolved workspace paths and mining/seeding defaults."""
+    """A workspace root, whose files have fixed names, and the resolved
+    mining/seeding defaults."""
 
     root: Path
-    ledger_path: Path
-    receipts_dir: Path
-    fragments_dir: Path
-    pending_path: Path
-    config_path: Path
     difficulty: int
     min_difficulty: int
     seed: int | None
+
+    ledger_path = property(lambda self: self.root / "ledger.jsonl")
+    receipts_dir = property(lambda self: self.root / "receipts")
+    fragments_dir = property(lambda self: self.root / "fragments")
+    pending_path = property(lambda self: self.root / "pending.json")
+    config_path = property(lambda self: self.root / CONFIG_NAME)
 
     def __post_init__(self) -> None:
         paths = [
@@ -101,7 +104,7 @@ class WorkspaceConfig:
         """Merge CLI flags over the workspace defaults file over built-ins. A
         difficulty given below `min_difficulty` is refused; the built-in 8
         is raised to it."""
-        config_path = root / "config.json"
+        config_path = root / CONFIG_NAME
         defaults: dict = {}
         if config_path.exists():
             try:
@@ -123,17 +126,7 @@ class WorkspaceConfig:
             raise click.UsageError(f"difficulty {difficulty} is below min_difficulty {floor}")
         if seed is None:
             seed = config_seed
-        return cls(
-            root=root,
-            ledger_path=root / "ledger.jsonl",
-            receipts_dir=root / "receipts",
-            fragments_dir=root / "fragments",
-            pending_path=root / "pending.json",
-            config_path=config_path,
-            difficulty=difficulty,
-            min_difficulty=floor,
-            seed=seed,
-        )
+        return cls(root=root, difficulty=difficulty, min_difficulty=floor, seed=seed)
 
 
 def _config_int(defaults: dict, key: str, upper: int, path: Path) -> int | None:
@@ -264,7 +257,7 @@ def split(
         frag_path = cfg.fragments_dir / f"frag_{i}.kary"
         _write_file(frag_path, blob)
         click.echo(f"wrote {frag_path}")
-    manifest_path = cfg.fragments_dir / "manifest.kmanifest.json"
+    manifest_path = cfg.fragments_dir / f"manifest{MANIFEST_SUFFIX}"
     _write_file(manifest_path, manifest.canonical_bytes())
     click.echo(f"wrote {manifest_path}")
 

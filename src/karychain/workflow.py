@@ -7,11 +7,12 @@ never part of any output.
 
 Consumer side: reassembly is gated. Every fragment must carry a verifying
 anchor receipt for its whole serialized bytes, match the manifest's slice
-digest at its index, satisfy its embedded dependency digests, and agree with
-the manifest structurally; the manifest itself must be anchored and the
-stored chain must audit clean. Only then is the key reconstructed (Neville
-by default, Lagrange as cross-check), the ciphertext reassembled, and the
-payload decrypted and digest-checked.
+digest at its index, satisfy its dependency digests (as many as the
+manifest's class and k give), and agree with the manifest structurally;
+the manifest itself must be anchored and the stored chain must audit
+clean. Only then is the key reconstructed (Neville by default, Lagrange as
+cross-check), the ciphertext reassembled, and the payload decrypted and
+digest-checked.
 
 The gate does work linear in k: it parses and hashes each fragment blob
 once and hands the parsed fragments on to key reconstruction, reassembly
@@ -27,11 +28,12 @@ chunks average at least 64 KiB is split between the calling thread and one
 helper thread when the process may run on two CPUs. Other batches, such as
 a 64 KiB payload's at k=255 (about 4 KiB per chunk), are hashed serially.
 
-Activation follows the class code: Class I runs actions in index order
-(I_A and I_C re-check dependency digests immediately before each
-activation, comparing the cached digests of the immutable slices), Class II
-holds all activations at a rendezvous barrier so each starts before any
-completes, and refuses outright if a fragment is missing.
+Activation follows the class code: Class I runs actions in index order,
+and before each activation repeats the gate's one dependency check on the
+cached digests of the immutable slices, so `execute` raises
+`DependencyCheckError` wherever `verify_fragments` reports a fragment not
+`deps_ok`. Class II holds all activations at a rendezvous barrier so each
+starts before any completes, and refuses outright if a fragment is missing.
 """
 
 from __future__ import annotations
@@ -82,12 +84,17 @@ ActionFn = Callable[[Fragment], str | None]
 Receipts = Mapping[bytes, AnchorReceipt] | ReceiptStore
 
 
-class AssemblyError(Exception):
-    """Base for every reason assembly refuses; carries the offending indices."""
+class WorkflowError(Exception):
+    """Base of every refusal of the gate or of activation; carries the
+    offending fragment indices."""
 
     def __init__(self, message: str, indices: Sequence[int] = ()):
         super().__init__(message)
         self.indices = tuple(indices)
+
+
+class AssemblyError(WorkflowError):
+    """Base for every reason assembly refuses."""
 
 
 class VerificationFailure(AssemblyError):
@@ -110,10 +117,8 @@ class PlaintextDigestMismatch(AssemblyError):
     pass
 
 
-class ExecutionError(Exception):
-    def __init__(self, message: str, indices: Sequence[int] = ()):
-        super().__init__(message)
-        self.indices = tuple(indices)
+class ExecutionError(WorkflowError):
+    """Base for every reason activation fails."""
 
 
 class ExecutionRefused(ExecutionError):
@@ -294,7 +299,7 @@ def verify_fragments(
             1 <= frag.index <= manifest.k
             and frag.slice_digest == manifest.slice_digests[frag.index - 1]
         )
-        deps_ok = _deps_satisfied(frag, manifest, by_index)
+        deps_ok = _unmet_dependency(frag, manifest, by_index) is None
         statuses.append(
             FragmentStatus(
                 index=frag.index,
@@ -309,27 +314,31 @@ def verify_fragments(
     return statuses
 
 
-def _deps_satisfied(
+def _unmet_dependency(
     frag: Fragment, manifest: PayloadManifest, by_index: Mapping[int, Fragment]
-) -> bool:
+) -> str | None:
+    """The first of `frag`'s dependencies that does not hold, or None: the
+    one check behind the gate's `deps_ok` and each activation's re-check.
+    Carrying more or fewer dependency digests than the manifest's class and
+    k give is unmet too."""
     refs = dep_indices(frag.index, manifest.k, manifest.class_code)
-    return len(frag.dep_digests) == len(refs) and _unsatisfied_dep(frag, refs, by_index) is None
-
-
-def _unsatisfied_dep(
-    frag: Fragment, refs: Sequence[int], by_index: Mapping[int, Fragment]
-) -> int | None:
-    """The first referenced index whose slice digest does not match, if any."""
+    if len(frag.dep_digests) != len(refs):
+        return f"carries {len(frag.dep_digests)} dependency digests, not {len(refs)}"
     for dep_digest, ref_index in zip(frag.dep_digests, refs):
         referenced = by_index.get(ref_index)
         if referenced is None or referenced.slice_digest != dep_digest:
-            return ref_index
+            return f"dependency on {ref_index} unsatisfied"
     return None
 
 
-def _parsed(fragments: Sequence[bytes | Fragment]) -> list[Fragment]:
-    """Fragments as given, parsing those still in wire form."""
-    return [f if isinstance(f, Fragment) else parse_fragment(f) for f in fragments]
+def _by_index(
+    fragments: Sequence[bytes | Fragment], k: int
+) -> tuple[dict[int, Fragment], list[int]]:
+    """The fragments by index, parsing those still in wire form (of several
+    with one index, the last counts), and the indices of 1..k none has."""
+    parsed = (f if isinstance(f, Fragment) else parse_fragment(f) for f in fragments)
+    by_index = {f.index: f for f in parsed}
+    return by_index, sorted(set(range(1, k + 1)) - by_index.keys())
 
 
 def verify_manifest_anchor(
@@ -370,15 +379,11 @@ def reconstruct_key(
     if method not in (LAGRANGE, NEVILLE):
         raise ValueError(f"unknown reconstruction method {method!r}")
     # one fragment per index: a repeated share adds no point to interpolate
-    by_index = {f.index: f for f in _parsed(fragment_blobs)}
+    by_index, missing = _by_index(fragment_blobs, manifest.k)
     shares = [SecretShare(x=f.share_x, y=f.share_y) for _, f in sorted(by_index.items())]
     if manifest.key_scheme is KeyScheme.XOR_SPLIT:
-        every = set(range(1, manifest.k + 1))
-        if by_index.keys() != every:
-            raise InsufficientSharesError(
-                "XOR split needs every fragment's share",
-                indices=sorted(every - by_index.keys()),
-            )
+        if missing or len(shares) != manifest.k:
+            raise InsufficientSharesError("XOR split needs every fragment's share", indices=missing)
         return reconstruct_xor(shares)
     if len(shares) < manifest.threshold:
         raise InsufficientSharesError(
@@ -443,12 +448,12 @@ def _assemble(
     bad = [s.index for s in statuses if not s.ok]
     if bad:
         raise VerificationFailure(f"fragment verification failed for {bad}", indices=bad)
-    missing = sorted(set(range(1, manifest.k + 1)) - {s.index for s in statuses})
+    by_index, missing = _by_index([s.fragment for s in statuses], manifest.k)
     if missing:
         raise InsufficientSlicesError(
             f"fragments {missing} are missing; every slice is required", indices=missing
         )
-    parsed = sorted((s.fragment for s in statuses), key=lambda f: f.index)
+    parsed = [f for _, f in sorted(by_index.items())]
     key = reconstruct_key(parsed, manifest, method)
     ciphertext = unpartition([f.slice for f in parsed], manifest.partition_strategy)
     # decrypted before the ciphertext is judged, so that both are hashed in
@@ -494,8 +499,7 @@ def execute(
     trace ordered by start tick. Ticks come from one monotonic logical clock,
     so ordering and overlap are checkable from the trace alone.
     """
-    by_index = {f.index: f for f in _parsed(fragment_blobs)}
-    missing = sorted(set(range(1, manifest.k + 1)) - set(by_index))
+    by_index, missing = _by_index(fragment_blobs, manifest.k)
     if missing:
         raise ExecutionRefused(f"fragments {missing} are missing", indices=missing)
     actions = actions or {}
@@ -509,30 +513,22 @@ def _run_action(frag: Fragment, actions: Mapping[int, ActionFn]) -> str | None:
     return actions.get(frag.index, default_action)(frag)
 
 
-def _check_deps_now(frag: Fragment, manifest: PayloadManifest, by_index: Mapping[int, Fragment]) -> None:
-    refs = dep_indices(frag.index, manifest.k, manifest.class_code)
-    ref_index = _unsatisfied_dep(frag, refs, by_index)
-    if ref_index is not None:
-        raise DependencyCheckError(
-            f"fragment {frag.index} dependency on {ref_index} unsatisfied",
-            indices=[frag.index],
-        )
-
-
 def _execute_sequential(
     by_index: Mapping[int, Fragment],
     manifest: PayloadManifest,
     actions: Mapping[int, ActionFn],
     clock,
 ) -> list[ActivationEvent]:
-    recheck = manifest.class_code in (ClassCode.I_A, ClassCode.I_C)
-    if recheck:
+    # fragment 1's shape is empty exactly when the class references no slice at this k;
+    # otherwise the re-checks compare slice digests, hashed here in one batch
+    if dep_indices(1, manifest.k, manifest.class_code):
         cache_slice_digests(list(by_index.values()))
     events = []
     for index in range(1, manifest.k + 1):
         frag = by_index[index]
-        if recheck:
-            _check_deps_now(frag, manifest, by_index)
+        unmet = _unmet_dependency(frag, manifest, by_index)
+        if unmet is not None:
+            raise DependencyCheckError(f"fragment {index} {unmet}", indices=[index])
         start = next(clock)
         note = _run_action(frag, actions)
         end = next(clock)

@@ -653,6 +653,15 @@ class TestWorkspaceConfig:
         assert res.exit_code == 0, res.output
         assert '"difficulty":1' in (root / "ledger.jsonl").read_text().splitlines()[-1]
 
+    def test_pool_aliasing_the_chain_is_usage_error(self, runner, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "pending.json").symlink_to(root / "ledger.jsonl")
+        res = runner.invoke(main, ["--workspace", str(root), "ledger", "show"])
+        assert res.exit_code == 2, res.output
+        assert "workspace paths must be distinct" in res.output
+        assert sorted(p.name for p in root.iterdir()) == ["pending.json"]
+
 
 class TestDeterminism:
     def test_identical_seed_and_timestamp_reproduce_bytes(self, runner, tmp_path):

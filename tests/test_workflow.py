@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from hypothesis import given, settings, strategies as st
 
 from karychain import canonical as canonical_module
 from karychain import cli as cli_module
@@ -486,6 +487,84 @@ class TestExecute:
         trace = execute(frags, manifest, actions=actions)
         assert trace[1].note == "custom for 2"
         assert trace[0].note == "fragment 1 activated"
+
+
+class TestOneDependencyCheck:
+    """`execute` refuses, before the activation, every fragment whose
+    dependencies `verify_fragments` reports unmet, and no other."""
+
+    @pytest.mark.parametrize(
+        "class_code, unmet", [(ClassCode.I_A, [1, 2, 3, 4]), (ClassCode.I_C, [4])]
+    )
+    def test_a_larger_split_under_a_smaller_manifest_is_refused(self, class_code, unmet):
+        manifest, _ = produce(PAYLOAD, 4, 4, class_code, KeyScheme.SHAMIR,
+                              PartitionStrategy.CONTIGUOUS, rng=random.Random(5))
+        _, frags = produce(PAYLOAD, 5, 5, class_code, KeyScheme.SHAMIR,
+                           PartitionStrategy.CONTIGUOUS, rng=random.Random(6))
+        statuses = verify_fragments(frags, manifest, {}, Ledger(difficulty=0))
+        assert [s.index for s in statuses if not s.deps_ok] == unmet
+        ran = []
+        with pytest.raises(DependencyCheckError) as exc:
+            execute(frags, manifest, actions=dict.fromkeys(range(1, 6), ran.append))
+        assert exc.value.indices == (unmet[0],)
+        assert [f.index for f in ran] == list(range(1, unmet[0]))
+
+
+def _flip(data: bytes, position: int) -> bytes:
+    return data[:position] + bytes([data[position] ^ 0x01]) + data[position + 1:]
+
+
+@st.composite
+def mutated_sets(draw):
+    """A complete set of small fragments with one mutation, and its manifest.
+
+    The mutation flips a byte of a dependency digest or of a slice, or takes
+    fragments `first..last` from a split with another k."""
+    k = draw(st.integers(2, 8))
+    mutation = draw(st.sampled_from(["dep digest", "slice", "other k"]))
+    classes = [ClassCode.I_A, ClassCode.I_C] if mutation == "dep digest" else list(ClassCode)
+    class_code = draw(st.sampled_from(classes))
+    scheme = draw(st.sampled_from(list(KeyScheme)))
+    t = k if scheme is KeyScheme.XOR_SPLIT else draw(st.integers(1, k))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    manifest, blobs = produce(PAYLOAD[:40], k, t, class_code, scheme,
+                              PartitionStrategy.CONTIGUOUS, rng=rng)
+    if mutation == "other k":
+        other_k = draw(st.integers(2, 8).filter(lambda n: n != k))
+        other_t = other_k if scheme is KeyScheme.XOR_SPLIT else min(t, other_k)
+        _, others = produce(PAYLOAD[:40], other_k, other_t, class_code, scheme,
+                            PartitionStrategy.CONTIGUOUS, rng=rng)
+        # one fragment (first == last) or a run of them; with all of 1..k the
+        # only unmet dependency may be a dependency digest count
+        last = min(k, other_k)
+        first = draw(st.integers(1, last))
+        blobs[first - 1:last] = others[first - 1:last]
+        return manifest, blobs
+    if mutation == "slice":
+        frag = parse_fragment(blobs[draw(st.integers(0, k - 1))])
+        frag = replace(frag, slice=_flip(frag.slice, draw(st.integers(0, len(frag.slice) - 1))))
+    else:
+        frag = parse_fragment(blobs[draw(st.integers(0, k - 2))])  # under I_C, k has no deps
+        deps = list(frag.dep_digests)
+        j = draw(st.integers(0, len(deps) - 1))
+        deps[j] = _flip(deps[j], draw(st.integers(0, 31)))
+        frag = replace(frag, dep_digests=tuple(deps))
+    blobs[frag.index - 1] = frag.serialize()
+    return manifest, blobs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_sets())
+def test_execute_refuses_exactly_the_lowest_fragment_verify_reports_unmet(case):
+    manifest, blobs = case
+    statuses = verify_fragments(blobs, manifest, {}, Ledger(difficulty=0))
+    unmet = [s.index for s in statuses if not s.deps_ok]
+    if not unmet:
+        assert len(execute(blobs, manifest)) == manifest.k
+        return
+    with pytest.raises(DependencyCheckError) as exc:
+        execute(blobs, manifest)
+    assert exc.value.indices == (min(unmet),)
 
 
 class TestRun:
