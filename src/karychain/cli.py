@@ -3,10 +3,11 @@
 Commands: split, anchor, mine, verify, assemble, run, ledger show,
 ledger validate. A workspace directory holds the chain file, the pending
 pool, receipts, and fragment output. Each command opens only what it uses:
-anchor the `Pool`; mine the `Pool` and `read_tip`, and saves the receipts
-before it appends the block and clears the pool; verify, assemble, run and
-ledger validate the `Chain`, which must exist; ledger show the `Chain` (or
-genesis from memory), then the `Pool`. Exit codes are fixed per outcome:
+anchor the `Pool`; mine the `Pool` and `read_tip`, and runs the library's
+one mine sequence, `ledger.mine_pool`, which saves the receipts before it
+appends the block and clears the pool; verify, assemble, run and ledger
+validate the `Chain`, which must exist; ledger show the `Chain` (or genesis
+from memory), then the `Pool`. Exit codes are fixed per outcome:
 0 success, 1 verification or assembly failure, 2 invalid arguments,
 3 I/O error, 4 duplicate pending anchor, 5 mining an empty pool. Every
 failure raised under a command maps to its code in EXIT_CODES.
@@ -44,7 +45,7 @@ from .fragments import (
 )
 from .ledger import (
     GENESIS, Chain, DuplicatePendingError, EmptyPoolError, LedgerError, Pool, ReceiptStore,
-    append_block, block_hash, mine_block, read_tip, start_chain,
+    append_block, block_hash, mine_pool, read_tip, start_chain,
     write_file as _write_file,  # karybench's tracer wraps it under this name
 )
 from . import workflow
@@ -282,15 +283,9 @@ def mine(cfg: WorkspaceConfig) -> None:
     if not pool.digests:  # refused before the chain file is started
         raise EmptyPoolError("no pending digests to mine")
     start_chain(cfg.ledger_path)
-    block, receipts = mine_block(pool.digests, _read(read_tip, cfg.ledger_path),
-                                 cfg.difficulty, now)
-    # receipts, then the block, then the pool: until the pool is cleared,
-    # mining again mends a failure at any step
-    store = ReceiptStore(cfg.receipts_dir)
-    for receipt in receipts:
-        store.save(receipt)
-    append_block(cfg.ledger_path, block)
-    pool.clear()
+    block, _ = mine_pool(pool, _read(read_tip, cfg.ledger_path), cfg.difficulty, now,
+                         lambda b: append_block(cfg.ledger_path, b),
+                         ReceiptStore(cfg.receipts_dir).save)
     click.echo(
         f"mined block {block.height} hash={block_hash(block).hex()} "
         f"nonce={block.nonce} txs={len(block.tx_digests)}"

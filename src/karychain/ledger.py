@@ -21,8 +21,10 @@ receipts as one canonical-JSON file per digest.
 
 Each workspace file has one owner: `Pool` the pending pool's; `Chain`
 (every block), `read_tip` (the last), `start_chain` (the genesis line) and
-`append_block` the chain file's. `mine_block` is pure. `Ledger`, the
-library's facade, is a `Chain` that also holds a `Pool`.
+`append_block` the chain file's. `mine_block` is pure. `mine_pool`, the one
+mine sequence of `Ledger.mine_block` and `kary mine`, runs it on a given tip,
+then saves each receipt, appends the block and clears the pool. `Ledger`,
+the library's facade, is a `Chain` that also holds a `Pool`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .canonical import (
     DIGEST,
@@ -326,6 +328,21 @@ class Pool:
             write_file(self.path, canonical_dumps(DIGESTS.encode(self._digests)).encode("ascii"))
 
 
+def mine_pool(pool: Pool, tip: Block, difficulty: int, now: int, append: Callable[[Block], None],
+              save: Callable[[AnchorReceipt], object] | None = None,
+              ) -> tuple[Block, list[AnchorReceipt]]:
+    """Mine the pool onto `tip`, given and never re-read, in crash-safe order:
+    `save` each receipt (if given), `append` the block, clear the pool. Until
+    the clear, mining again mends a failure at any step."""
+    block, receipts = mine_block(pool.digests, tip, difficulty, now)
+    if save is not None:
+        for receipt in receipts:
+            save(receipt)
+    append(block)
+    pool.clear()
+    return block, receipts
+
+
 class Chain:
     """The blocks of a chain file, loaded strictly: every line must be the
     canonical encoding of its block; a missing file raises FileNotFoundError.
@@ -430,11 +447,12 @@ class Chain:
 
 
 class Ledger(Chain):
-    """The library's ledger: a `Chain` that holds a `Pool` and mines it onto
-    its tip under the chain's lock. A new chain file is started with genesis;
-    each mined block appends one line. A pending path persists the pool
-    between processes. A ledger that would mine below its own
-    `min_difficulty` floor is refused."""
+    """The library's ledger: a `Chain` that holds a `Pool` and mines it with
+    `mine_pool` onto the tip it holds in memory, under the chain's lock,
+    saving no receipts. A new chain file is started with genesis; each mined
+    block appends one line. A pending path persists the pool between
+    processes. A ledger that would mine below its own `min_difficulty` floor
+    is refused."""
 
     def __init__(self, path: Path | None = None, pending_path: Path | None = None,
                  difficulty: int = 8, min_difficulty: int = 0):
@@ -461,14 +479,15 @@ class Ledger(Chain):
             return self._pool.submit(digest, *more)
 
     def mine_block(self, now: int) -> tuple[Block, list[AnchorReceipt]]:
-        """Drain the pool into one proof-of-work block and emit receipts."""
+        """Drain the pool into one block with `mine_pool`, and emit receipts."""
         with self._lock:
-            block, receipts = mine_block(self._pool.digests, self._blocks[-1], self.difficulty, now)
-            if self.path is not None:
-                append_block(self.path, block)
-            self._blocks.append(block)
-            self._pool.clear()
-        return block, receipts
+            return mine_pool(self._pool, self._blocks[-1], self.difficulty, now, self._append)
+
+    def _append(self, block: Block) -> None:
+        # before the pool is cleared: the next block is mined on the file's tip
+        if self.path is not None:
+            append_block(self.path, block)
+        self._blocks.append(block)
 
 
 def write_file(path: Path, data: bytes) -> None:

@@ -32,8 +32,9 @@ Activation follows the class code: Class I runs actions in index order,
 and before each activation repeats the gate's one dependency check on the
 cached digests of the immutable slices, so `execute` raises
 `DependencyCheckError` wherever `verify_fragments` reports a fragment not
-`deps_ok`. Class II holds all activations at a rendezvous barrier so each
-starts before any completes, and refuses outright if a fragment is missing.
+`deps_ok`. Class II runs that check on every fragment first, then holds
+all activations at a rendezvous barrier so each starts before any
+completes, and refuses outright if a fragment is missing.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import itertools
 import random
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -513,6 +514,17 @@ def _run_action(frag: Fragment, actions: Mapping[int, ActionFn]) -> str | None:
     return actions.get(frag.index, default_action)(frag)
 
 
+def _checked(by_index: Mapping[int, Fragment], manifest: PayloadManifest) -> Iterator[Fragment]:
+    """Fragments 1..k in order, each yielded once it passes the gate's one
+    dependency check; the first that fails raises DependencyCheckError."""
+    for index in range(1, manifest.k + 1):
+        frag = by_index[index]
+        unmet = _unmet_dependency(frag, manifest, by_index)
+        if unmet is not None:
+            raise DependencyCheckError(f"fragment {index} {unmet}", indices=[index])
+        yield frag
+
+
 def _execute_sequential(
     by_index: Mapping[int, Fragment],
     manifest: PayloadManifest,
@@ -524,15 +536,11 @@ def _execute_sequential(
     if dep_indices(1, manifest.k, manifest.class_code):
         cache_slice_digests(list(by_index.values()))
     events = []
-    for index in range(1, manifest.k + 1):
-        frag = by_index[index]
-        unmet = _unmet_dependency(frag, manifest, by_index)
-        if unmet is not None:
-            raise DependencyCheckError(f"fragment {index} {unmet}", indices=[index])
+    for frag in _checked(by_index, manifest):  # each checked right before it runs
         start = next(clock)
         note = _run_action(frag, actions)
         end = next(clock)
-        events.append(ActivationEvent(index=index, start=start, end=end, note=note))
+        events.append(ActivationEvent(index=frag.index, start=start, end=end, note=note))
     return events
 
 
@@ -542,6 +550,8 @@ def _execute_parallel(
     actions: Mapping[int, ActionFn],
     clock,
 ) -> list[ActivationEvent]:
+    # all checked before any thread starts; Class II hashes nothing for it
+    frags = list(_checked(by_index, manifest))
     # Every activation must be live at once: each thread marks its start,
     # meets the barrier, and only then may any run its action and finish.
     barrier = threading.Barrier(manifest.k)
@@ -564,8 +574,8 @@ def _execute_parallel(
                 failures.append(exc)
 
     threads = [
-        threading.Thread(target=activate, args=(by_index[i],), name=f"fragment-{i}")
-        for i in range(1, manifest.k + 1)
+        threading.Thread(target=activate, args=(frag,), name=f"fragment-{frag.index}")
+        for frag in frags
     ]
     for t in threads:
         t.start()

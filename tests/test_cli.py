@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -772,6 +773,25 @@ class TestMineReadsTheTip:
         reloaded = Ledger(path=chain, difficulty=0)
         assert reloaded.height == 300
         assert reloaded.validate_chain()
+
+    def test_file_access_is_pinned(self, tmp_path, monkeypatch, file_access):
+        """One pool read, the chain's existence check, one tip read, a write
+        per receipt, one append and one pool write: nothing more."""
+        root = tmp_path / "ws"
+        tip_workspace(root, 3, 2)
+        (root / "receipts").mkdir()
+        monkeypatch.setenv("KARY_TIMESTAMP", "1700000000")
+        cfg = cli_module.WorkspaceConfig.create(root, 0, None)
+        store, pool = ReceiptStore(root / "receipts"), Pool(root / "pending.json")
+        receipts = [str(store.path_for(d)) for d in pool.digests]
+        chain, pending = str(root / "ledger.jsonl"), str(root / "pending.json")
+        access = file_access()
+        with click.Context(main, obj=cfg) as ctx:
+            ctx.invoke(cli_module.mine)
+        assert access.calls == [
+            ("exists", pending), ("read_text", pending), ("exists", chain), ("read_bytes", chain),
+            *(("write_bytes", r) for r in receipts), ("open", chain), ("write_bytes", pending),
+        ]
 
     @pytest.mark.parametrize("case", [
         "empty file", "blank line", "CRLF", "CR", "blank last line", "non-ASCII",

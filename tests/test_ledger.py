@@ -1,6 +1,7 @@
 """Merkle tree, proof-of-work chain, receipts, and persistence tests."""
 
 import dataclasses
+import errno
 import hashlib
 import random
 import shutil
@@ -10,10 +11,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from karychain import ledger as ledger_module
+from karychain.cli import main as cli_main
 
 from karychain.canonical import CanonicalJsonError, canonical_bytes, canonical_dumps
 from karychain.ledger import (
@@ -859,6 +862,7 @@ class TestChunkedLoad:
         reloaded = Ledger(path=path, difficulty=0)
         assert len(taken) >= 3 and sum(taken) == 701
         assert reloaded.blocks == ledger.blocks
+        assert ledger_module.read_tip(path) == ledger.blocks[-1]
         assert reloaded.validate_chain()
 
     def test_block_line_longer_than_a_chunk(self, tmp_path, rng, taken):
@@ -962,32 +966,58 @@ class TestChunkedLoad:
         assert undetected == []
 
 
-class TestReadTip:
-    """`read_tip`, the pure `mine_block` and `append_block`, run part by part
-    as `kary mine` runs them, mine what a fully loaded `Ledger` mines."""
+class TestLedgerMineSequence:
+    """`Ledger.mine_block` runs `mine_pool` on the tip it holds in memory, and
+    extends that memory with the file: wherever mining fails, the blocks in
+    memory equal the chain file's, and mining again leaves every pooled
+    digest with a receipt that verifies."""
 
-    def test_part_wise_mining_matches_the_facade(self, tmp_path, rng):
-        path, ledger, _ = TestChunkedLoad.chain(tmp_path, rng, blocks=40)
-        tip = ledger_module.read_tip(path)
-        assert tip == ledger.blocks[-1]
-        full_path = tmp_path / "full.jsonl"
-        full_path.write_bytes(path.read_bytes())
-        full = Ledger(full_path, difficulty=4)
-        pending = tmp_path / "pending.json"
-        digests = [rng.randbytes(32) for _ in range(3)]
-        Pool(pending).submit(*digests)
-        full.submit_anchor(*digests)
-        assert tip.height == full.height == 40
-        pool = Pool(pending)
-        block, receipts = ledger_module.mine_block(pool.digests, tip, 4, 99)
-        assert (block, receipts) == full.mine_block(now=99)
-        ledger_module.append_block(path, block)
-        pool.clear()
-        assert path.read_bytes() == full_path.read_bytes()
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        chain, pending = tmp_path / "ledger.jsonl", tmp_path / "pending.json"
+        ledger = Ledger(chain, pending, difficulty=0)
+        ledger.submit_anchor(h(b"first block"))
+        ledger.mine_block(now=1)
+        ledger.submit_anchor(*(h(b"pooled %d" % i) for i in range(3)))
+        return ledger, chain, pending
+
+    @staticmethod
+    def _fail(name):
+        def failing(*args):
+            raise OSError(errno.EIO, f"{name} failed")
+
+        return failing
+
+    @pytest.mark.parametrize("step, grows", [("pool clear", True), ("block append", False)])
+    def test_mining_again_mends_a_failed_mine(self, workspace, monkeypatch, step, grows):
+        ledger, chain, pending = workspace
+        digests, pool_before = ledger.pending, pending.read_bytes()
+        if step == "pool clear":
+            monkeypatch.setattr(Pool, "clear", self._fail(step))
+        else:
+            monkeypatch.setattr(ledger_module, "append_block", self._fail(step))
+        with pytest.raises(OSError):
+            ledger.mine_block(now=2)
+        assert ledger.blocks == Chain(chain).blocks
+        assert len(ledger.blocks) == (3 if grows else 2)
+        assert pending.read_bytes() == pool_before
+        monkeypatch.undo()
+        _, receipts = ledger.mine_block(now=3)
         assert pending.read_bytes() == b"[]"
-        reloaded = Chain(path)
-        assert reloaded.validate_chain()
-        assert all(reloaded.verify_receipt(d, r) for d, r in zip(digests, receipts))
+        reopened = Chain(chain)
+        assert reopened.validate_chain()
+        assert [r.target_digest for r in receipts] == list(digests)
+        assert all(reopened.verify_receipt(r.target_digest, r) for r in receipts)
+
+    def test_mines_on_the_tip_in_memory(self, workspace, file_access):
+        """The tip is not read back: one append to the chain file and one
+        pool write are all the file access a mine makes."""
+        ledger, chain, pending = workspace
+        access = file_access()
+        for name in ("read_tip", "_chain_text"):
+            access.watch(ledger_module, name)
+        ledger.mine_block(now=2)
+        assert access.calls == [("open", str(chain)), ("write_bytes", str(pending))]
 
 
 class TestProofOfWorkFloor:
@@ -1116,73 +1146,78 @@ def test_chunked_load_refuses_exactly_what_the_per_line_parse_refuses(tmp_path_f
 
 
 class PoolAndChainMachine(RuleBasedStateMachine):
-    """The `Ledger` facade in one directory and `kary mine`'s part-wise
-    sequence (`Pool`, `start_chain`, `read_tip`, the pure `mine_block`,
-    `append_block`, `Pool.clear`) in a twin directory, driven alike: both
-    keep the same files, and every receipt either issued verifies."""
+    """One workspace, mined by `Ledger.mine_block` and by `kary mine` in
+    turn, against a model: the pending digests and each block's tx list.
+    Every receipt either entry point issues verifies."""
 
     DIGESTS = [h(b"state %d" % i) for i in range(6)]
 
     def __init__(self):
         super().__init__()
         self.root = Path(tempfile.mkdtemp(prefix="karychain-state-"))
-        self.facade_dir, self.parts_dir = self.root / "facade", self.root / "parts"
-        self.ledger = self._open_facade()
+        self.chain_path = self.root / "ledger.jsonl"
+        self.ledger = self._open()
         self.pending: list[bytes] = []
+        self.block_txs: list[tuple[bytes, ...]] = []
         self.issued: list[AnchorReceipt] = []
 
-    def _open_facade(self):
-        d = self.facade_dir
-        return Ledger(d / "ledger.jsonl", d / "pending.json", difficulty=2)
+    def _open(self):
+        return Ledger(self.chain_path, self.root / "pending.json", difficulty=2)
 
     def teardown(self):
         shutil.rmtree(self.root)
 
     @rule(batch=st.lists(st.sampled_from(DIGESTS), min_size=1, max_size=3))
     def submit(self, batch):
-        refused = len(set(batch)) < len(batch) or any(d in self.pending for d in batch)
-        for submit in (self.ledger.submit_anchor, Pool(self.parts_dir / "pending.json").submit):
-            if refused:
-                with pytest.raises(DuplicatePendingError):
-                    submit(*batch)
-            else:
-                assert submit(*batch) == len(self.pending)
-        if not refused:
-            self.pending += batch
+        if len(set(batch)) < len(batch) or any(d in self.pending for d in batch):
+            with pytest.raises(DuplicatePendingError):
+                self.ledger.submit_anchor(*batch)
+            return
+        assert self.ledger.submit_anchor(*batch) == len(self.pending)
+        self.pending += batch
 
     @rule(now=st.integers(0, 2**64 - 1))
-    def mine(self, now):
-        pool = Pool(self.parts_dir / "pending.json")
+    def mine_through_the_ledger(self, now):
         if not self.pending:
             with pytest.raises(EmptyPoolError):
                 self.ledger.mine_block(now)
-            assert pool.digests == ()
             return
-        chain = self.parts_dir / "ledger.jsonl"
-        ledger_module.start_chain(chain)
-        mined = ledger_module.mine_block(pool.digests, ledger_module.read_tip(chain), 2, now)
-        ledger_module.append_block(chain, mined[0])
-        pool.clear()
-        assert self.ledger.mine_block(now) == mined
-        self.issued += mined[1]
+        block, receipts = self.ledger.mine_block(now)
+        assert block.timestamp == now
+        self._mined(receipts)
+
+    @rule(now=st.integers(0, 2**64 - 1))
+    def mine_through_the_cli(self, now):
+        args = ["--workspace", str(self.root), "--difficulty", "2", "mine"]
+        res = CliRunner().invoke(cli_main, args, env={"KARY_TIMESTAMP": str(now)})
+        # the CLI cleared the pool file under the ledger's feet
+        self.ledger = self._open()
+        if not self.pending:
+            assert res.exit_code == 5, res.output
+            return
+        assert res.exit_code == 0, res.output
+        store = ReceiptStore(self.root / "receipts")
+        self._mined([store.load(d) for d in self.pending])
+
+    def _mined(self, receipts):
+        assert [r.target_digest for r in receipts] == self.pending
+        self.block_txs.append(tuple(self.pending))
+        self.issued += receipts
         self.pending = []
 
     @rule()
     def reopen(self):
-        self.ledger = self._open_facade()
+        self.ledger = self._open()
 
     @invariant()
-    def files_agree(self):
-        facade = Chain(self.facade_dir / "ledger.jsonl")
-        parts = self.parts_dir / "ledger.jsonl"
-        if parts.exists():
-            assert parts.read_bytes() == (self.facade_dir / "ledger.jsonl").read_bytes()
-        else:
-            assert facade.blocks == (GENESIS,)
-        assert facade.validate_chain()
-        assert all(facade.verify_receipt(r.target_digest, r) for r in self.issued)
-        for d in (self.facade_dir, self.parts_dir):
-            assert Pool(d / "pending.json").digests == tuple(self.pending)
+    def workspace_matches_the_model(self):
+        chain = Chain(self.chain_path)
+        assert chain.validate_chain()
+        assert [b.tx_digests for b in chain.blocks[1:]] == self.block_txs
+        assert self.ledger.blocks == chain.blocks
+        assert ledger_module.read_tip(self.chain_path) == chain.blocks[-1]
+        assert all(chain.verify_receipt(r.target_digest, r) for r in self.issued)
+        assert Pool(self.root / "pending.json").digests == tuple(self.pending)
         assert self.ledger.pending == tuple(self.pending)
 
 

@@ -518,17 +518,21 @@ def _flip(data: bytes, position: int) -> bytes:
 def mutated_sets(draw):
     """A complete set of small fragments with one mutation, and its manifest.
 
-    The mutation flips a byte of a dependency digest or of a slice, or takes
-    fragments `first..last` from a split with another k."""
+    The mutation flips a byte of a dependency digest or of a slice, takes
+    fragments `first..last` from a split with another k, or relabels an I_A
+    or I_C set Class II, whose manifest gives no fragment a dependency."""
     k = draw(st.integers(2, 8))
-    mutation = draw(st.sampled_from(["dep digest", "slice", "other k"]))
-    classes = [ClassCode.I_A, ClassCode.I_C] if mutation == "dep digest" else list(ClassCode)
+    mutation = draw(st.sampled_from(["dep digest", "slice", "other k", "as II"]))
+    with_deps = mutation in ("dep digest", "as II")
+    classes = [ClassCode.I_A, ClassCode.I_C] if with_deps else list(ClassCode)
     class_code = draw(st.sampled_from(classes))
     scheme = draw(st.sampled_from(list(KeyScheme)))
     t = k if scheme is KeyScheme.XOR_SPLIT else draw(st.integers(1, k))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     manifest, blobs = produce(PAYLOAD[:40], k, t, class_code, scheme,
                               PartitionStrategy.CONTIGUOUS, rng=rng)
+    if mutation == "as II":
+        return replace(manifest, class_code=ClassCode.II), blobs
     if mutation == "other k":
         other_k = draw(st.integers(2, 8).filter(lambda n: n != k))
         other_t = other_k if scheme is KeyScheme.XOR_SPLIT else min(t, other_k)
