@@ -1,11 +1,11 @@
 """Canonical JSON, the field kinds its records are declared with, and SHA-256.
 
-`sha256` hashes one input. `sha256_each` hashes a batch: when the process
-may run on two CPUs or more, the batch totals at least 1 MiB and its
-chunks average at least 64 KiB, it splits the chunks, balanced by bytes,
-between the calling thread and one helper thread that asks to run on
-another CPU (hashlib releases the GIL while it hashes a large buffer); any
-other batch is hashed serially.
+`sha256` hashes one input. `sha256_each` hashes a batch, such as the
+workflow's: the producer's slices, ciphertext and plaintext, the gate's
+blobs and slices, the reassembled ciphertext and plaintext, and an
+activation's slices. A large batch of large chunks, a multi-MiB payload's,
+may be split between the calling thread and one helper thread; the rule is
+in `sha256_each`'s docstring.
 
 Canonical form: keys sorted ascending, no insignificant whitespace, ASCII
 output, integers only (floats are never produced and never accepted). Strict
@@ -77,24 +77,21 @@ _SPLIT_MIN_MEAN = 64 << 10
 def sha256_each(chunks: Sequence[bytes]) -> list[bytes]:
     """The SHA-256 digest of each chunk, in order.
 
-    A batch that meets the split rule of the module docstring is hashed on
-    the calling thread and one helper thread, which asks to run on a CPU
-    other than the caller's, then calls nothing but hashlib, and is joined
-    before this returns. An error on either thread, such as the TypeError
-    for a chunk that is not a buffer, is raised here.
+    The batch is split when the process may run on two CPUs or more, the
+    chunks total at least 1 MiB and they average at least 64 KiB (measured
+    above `_CPUS`); any other batch is hashed serially. A split batch is
+    dealt alternately: the calling thread hashes chunks 0, 2, 4, ... and one
+    helper thread 1, 3, 5, .... Each batch the workflow splits repeats a few
+    chunk sizes in order, so the two threads' loads differ by less than
+    1 KiB. The helper asks to run on a CPU other than the caller's, then
+    calls nothing but hashlib (which releases the GIL while it hashes a
+    large buffer), and is joined before this returns. An error on either
+    thread, such as the TypeError for a chunk that is not a buffer, is
+    raised here.
     """
-    sizes = [len(chunk) for chunk in chunks]
-    total = sum(sizes)
+    total = sum(len(chunk) for chunk in chunks)
     if _CPUS < 2 or total < _SPLIT_MIN_BYTES or total < _SPLIT_MIN_MEAN * len(chunks):
         return [hashlib.sha256(chunk).digest() for chunk in chunks]
-    # largest first, each to the side with fewer bytes so far
-    sides: tuple[list[int], list[int]] = ([], [])  # the caller's, the helper's
-    loads = [0, 0]
-    for i in sorted(range(len(chunks)), key=sizes.__getitem__, reverse=True):
-        side = int(loads[1] < loads[0])
-        sides[side].append(i)
-        loads[side] += sizes[i]
-    mine, theirs = sides
     digests: list[Any] = [None] * len(chunks)
     failed: list[BaseException] = []
     elsewhere = _other_cpus()
@@ -107,16 +104,14 @@ def sha256_each(chunks: Sequence[bytes]) -> list[bytes]:
             if elsewhere:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, elsewhere)
-            for i in theirs:
-                digests[i] = hashlib.sha256(chunks[i]).digest()
+            digests[1::2] = [hashlib.sha256(chunk).digest() for chunk in chunks[1::2]]
         except BaseException as exc:  # re-raised on the calling thread below
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name="sha256_each")
     thread.start()
     try:
-        for i in mine:
-            digests[i] = hashlib.sha256(chunks[i]).digest()
+        digests[::2] = [hashlib.sha256(chunk).digest() for chunk in chunks[::2]]
     finally:
         thread.join()
     if failed:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -531,9 +532,18 @@ def start_chain(path: Path) -> bool:
 
 
 def append_block(path: Path, block: Block) -> None:
-    """Append one block's line to the chain file: the only chain append."""
-    with path.open("a", encoding="ascii") as fh:
-        fh.write(_block_line(block))
+    """Append one block's line to the chain file: the only chain append. An
+    append that fails leaves the file as it was, so mining again mends it."""
+    size = None
+    try:
+        with path.open("a", encoding="ascii") as fh:
+            size = fh.tell()
+            fh.write(_block_line(block))
+    except BaseException:
+        if size is not None:
+            # once closed: a buffered writer flushes what it holds at close
+            os.truncate(path, size)
+        raise
 
 
 # A chain file is parsed one chunk of whole lines at a time, each chunk as

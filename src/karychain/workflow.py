@@ -23,10 +23,10 @@ that slice's digest. Receipts come from a dict or a `ReceiptStore`.
 The large hashes go to `sha256_each` one batch at a time: the producer's
 slices, ciphertext and plaintext; the gate's blobs and their slices; the
 reassembled ciphertext and plaintext; and the slices of an I_A or I_C
-activation, before it re-checks them. A batch of at least 1 MiB whose
-chunks average at least 64 KiB is split between the calling thread and one
-helper thread when the process may run on two CPUs. Other batches, such as
-a 64 KiB payload's at k=255 (about 4 KiB per chunk), are hashed serially.
+activation, before it re-checks them. Each of these batches may be split
+between the calling thread and one helper thread, under the rule in
+`sha256_each`'s docstring: a multi-MiB payload's are, a 64 KiB payload's at
+k=255 (about 4 KiB per chunk) are not.
 
 Activation follows the class code: Class I runs actions in index order,
 and before each activation repeats the gate's one dependency check on the
@@ -456,7 +456,10 @@ def _assemble(
         )
     parsed = [f for _, f in sorted(by_index.items())]
     key = reconstruct_key(parsed, manifest, method)
-    ciphertext = unpartition([f.slice for f in parsed], manifest.partition_strategy)
+    try:
+        ciphertext = unpartition([f.slice for f in parsed], manifest.partition_strategy)
+    except ValueError as exc:  # anchored slices whose lengths cannot interleave
+        raise VerificationFailure(f"slices cannot be reassembled: {exc}") from None
     # decrypted before the ciphertext is judged, so that both are hashed in
     # one batch; the checks still refuse in the order of the gate
     tag_failure = None

@@ -1,3 +1,4 @@
+import errno
 import random
 from pathlib import Path
 
@@ -39,3 +40,31 @@ class FileAccess:
 def file_access(monkeypatch):
     """A `FileAccess`, to be created once the set-up's own file access is done."""
     return lambda: FileAccess(monkeypatch)
+
+
+@pytest.fixture
+def tear_appends(monkeypatch):
+    """`tear(path, flushed)`: from then on, each append to `path` writes half
+    of its text, then raises ENOSPC. The half reaches the file before the
+    error when `flushed`, else when the file is closed, as a buffered
+    writer's remainder does."""
+    real_open = Path.open
+
+    def tear(path, flushed):
+        def torn_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if self == path and mode.startswith("a"):
+                write = fh.write
+
+                def torn_write(text):
+                    write(text[: len(text) // 2])
+                    if flushed:
+                        fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = torn_write
+            return fh
+
+        monkeypatch.setattr(Path, "open", torn_open)
+
+    return tear

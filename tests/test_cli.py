@@ -249,6 +249,34 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         assert not (root / "recovered.bin").exists()
 
+    def test_anchored_slices_that_cannot_interleave_exit_1(self, runner, tmp_path):
+        # fragment 1's slice takes the first 2 bytes of fragment 2's, under a
+        # manifest of the moved slices' digests: each fragment verifies alone
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(b"x" * 40)
+        root = tmp_path / "ws"
+        res = runner.invoke(main, [*ws_args(root), "split", str(payload_path), "-k", "2",
+                                   "--class-code", "I_B", "--scheme", "XOR_SPLIT",
+                                   "--strategy", "INTERLEAVE"])
+        assert res.exit_code == 0, res.output
+        manifest_path, frag_paths = demo_paths(root, k=2)
+        first, second = (parse_fragment(p.read_bytes()) for p in frag_paths)
+        slices = [first.slice + second.slice[:2], second.slice[2:]]
+        for path, frag, piece in zip(frag_paths, (first, second), slices):
+            path.write_bytes(replace(frag, slice=piece).serialize())
+        manifest = PayloadManifest.from_canonical_bytes(manifest_path.read_bytes())
+        slice_digests = tuple(hashlib.sha256(s).digest() for s in slices)
+        manifest_path.write_bytes(replace(manifest, slice_digests=slice_digests).canonical_bytes())
+        files = [str(manifest_path), *map(str, frag_paths)]
+        for args in (["anchor", *files], ["mine"], ["verify", *files]):
+            res = runner.invoke(main, [*ws_args(root), *args])
+            assert res.exit_code == 0, res.output
+        for command in ("assemble", "run"):
+            res = run_kary(root, command, *files)
+            assert res.returncode == 1, res.stderr
+            assert "error: VerificationFailure: slices cannot be reassembled" in res.stderr
+            assert "Traceback" not in res.stderr
+
     def test_tampered_fragment_fails_verify_naming_index(self, runner, tmp_path):
         payload_path = tmp_path / "payload.bin"
         payload_path.write_bytes(PAYLOAD)
@@ -888,8 +916,11 @@ class TestMineWriteOrder:
 
     @pytest.mark.parametrize("step, grows", [
         ("second receipt", False), ("block append", False), ("pool clear", True),
+        ("torn append", False), ("torn append flushed at close", False),
     ])
-    def test_mining_again_mends_a_failed_mine(self, runner, tmp_path, monkeypatch, step, grows):
+    def test_mining_again_mends_a_failed_mine(
+        self, runner, tmp_path, monkeypatch, tear_appends, step, grows
+    ):
         root = tmp_path / "ws"
         tip_workspace(root, 3, 5)
         chain, pending = root / "ledger.jsonl", root / "pending.json"
@@ -899,8 +930,11 @@ class TestMineWriteOrder:
             self._fail_second_save(monkeypatch)
         elif step == "block append":
             monkeypatch.setattr(cli_module, "append_block", self._fail(step))
-        else:
+        elif step == "pool clear":
             monkeypatch.setattr(Pool, "clear", self._fail(step))
+        else:
+            # the append writes part of the line, then fails
+            tear_appends(chain, flushed=step == "torn append")
         args = ["--workspace", str(root), "--difficulty", "0", "mine"]
         res = runner.invoke(main, args, env={"KARY_TIMESTAMP": "1700000000"})
         assert res.exit_code == 3, res.output
@@ -914,6 +948,8 @@ class TestMineWriteOrder:
         res = runner.invoke(main, args, env={"KARY_TIMESTAMP": "1700000001"})
         assert res.exit_code == 0, res.output
         assert pending.read_bytes() == b"[]"
+        res = runner.invoke(main, ["--workspace", str(root), "ledger", "validate"])
+        assert res.exit_code == 0, res.output
         reopened = Chain(chain)
         assert reopened.validate_chain()
         store = ReceiptStore(root / "receipts")

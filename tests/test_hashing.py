@@ -10,13 +10,16 @@ import hashlib
 import os
 import random
 import threading
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karychain import canonical
+from karychain import canonical, fragments, workflow
 from karychain.canonical import sha256_each
+from karychain.fragments import ClassCode, KeyScheme, PartitionStrategy
+from karychain.ledger import Ledger
 
 KIB, MIB = 1 << 10, 1 << 20
 
@@ -62,11 +65,12 @@ def test_digests_match_hashlib_on_either_path(sizes, cpus, seed):
 
 @pytest.mark.parametrize("hasher", ["caller", "helper"])
 def test_chunk_that_is_not_a_buffer_raises_type_error_on_the_caller(hasher):
-    # the largest chunk is hashed by the calling thread, the next by the helper
+    # chunk 0 is hashed by the calling thread, chunk 1 by the helper
     text = "not bytes" * (100 * KIB)
     data = bytes(2 * len(text)) if hasher == "helper" else bytes(len(text) // 2)
+    chunks = [data, text] if hasher == "helper" else [text, data]
     with pytest.raises(TypeError):
-        hash_counting_threads([data, text], cpus=2)
+        hash_counting_threads(chunks, cpus=2)
     assert CountingThread.started == 1
 
 
@@ -103,6 +107,53 @@ def test_split_balances_bytes_between_the_two_threads():
     seen = hash_recording_threads(PRODUCER_BATCH)
     loads = sorted(sum(sizes) for sizes, _ in seen.values())
     assert len(loads) == 2 and loads[1] - loads[0] <= 64 * KIB
+
+
+def test_every_split_of_a_callers_batch_leaves_the_threads_within_1_kib(monkeypatch):
+    # a 2 MiB, k=16, I_A, INTERLEAVE set, as in test_workflow's
+    # TestGateWorkOnTwoThreads: the producer's, the gate's (with all 16
+    # fragments, then without each one), reassembly's and activation's batches
+    monkeypatch.setattr(canonical, "_CPUS", 2)
+    hashed = []  # (thread, size) of every SHA-256 taken, in a batch or not
+    batches = []  # per sha256_each call, the bytes each thread hashed
+    real_sha256, real_sha256_each = hashlib.sha256, canonical.sha256_each
+
+    def recording_sha256(data):
+        hashed.append((threading.get_ident(), len(data)))
+        return real_sha256(data)
+
+    def recording_sha256_each(chunks):
+        start = len(hashed)
+        digests = real_sha256_each(chunks)
+        loads = Counter()
+        for thread, size in hashed[start:]:
+            loads[thread] += size
+        batches.append(loads)
+        return digests
+
+    monkeypatch.setattr(canonical.hashlib, "sha256", recording_sha256)
+    for module in (workflow, fragments):
+        monkeypatch.setattr(module, "sha256_each", recording_sha256_each)
+
+    payload = random.Random(7).randbytes(2 * MIB)
+    manifest, frags = workflow.produce(
+        payload, 16, 16, ClassCode.I_A, KeyScheme.SHAMIR, PartitionStrategy.INTERLEAVE,
+        rng=random.Random(1234),
+    )
+    ledger = Ledger(difficulty=4)
+    ledger.submit_anchor(manifest.digest(), *map(canonical.sha256, frags))
+    _, issued = ledger.mine_block(now=1_700_000_000)
+    receipts = {r.target_digest: r for r in issued}
+    assert all(s.ok for s in workflow.verify_fragments(frags, manifest, receipts, ledger))
+    for gone in range(16):
+        workflow.verify_fragments(frags[:gone] + frags[gone + 1:], manifest, receipts, ledger)
+    assert workflow.assemble(frags, manifest, receipts, ledger)[0] == payload
+    assert len(workflow.execute(frags, manifest)) == 16
+
+    splits = [sorted(loads.values()) for loads in batches if len(loads) == 2]
+    # produce 1, verify 1 + 16, assemble 2 (the gate, reassembly), execute 1
+    assert len(splits) == 21
+    assert all(heavier - lighter < KIB for lighter, heavier in splits), splits
 
 
 @pytest.mark.skipif(

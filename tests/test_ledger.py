@@ -988,18 +988,28 @@ class TestLedgerMineSequence:
 
         return failing
 
-    @pytest.mark.parametrize("step, grows", [("pool clear", True), ("block append", False)])
-    def test_mining_again_mends_a_failed_mine(self, workspace, monkeypatch, step, grows):
+    @pytest.mark.parametrize("step, grows", [
+        ("pool clear", True), ("block append", False),
+        ("torn append", False), ("torn append flushed at close", False),
+    ])
+    def test_mining_again_mends_a_failed_mine(
+        self, workspace, monkeypatch, tear_appends, step, grows
+    ):
         ledger, chain, pending = workspace
-        digests, pool_before = ledger.pending, pending.read_bytes()
+        digests, chain_before, pool_before = ledger.pending, chain.read_bytes(), pending.read_bytes()
         if step == "pool clear":
             monkeypatch.setattr(Pool, "clear", self._fail(step))
-        else:
+        elif step == "block append":
             monkeypatch.setattr(ledger_module, "append_block", self._fail(step))
+        else:
+            # the append writes part of the line, then fails
+            tear_appends(chain, flushed=step == "torn append")
         with pytest.raises(OSError):
             ledger.mine_block(now=2)
         assert ledger.blocks == Chain(chain).blocks
         assert len(ledger.blocks) == (3 if grows else 2)
+        if not grows:
+            assert chain.read_bytes() == chain_before
         assert pending.read_bytes() == pool_before
         monkeypatch.undo()
         _, receipts = ledger.mine_block(now=3)

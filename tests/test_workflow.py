@@ -419,6 +419,24 @@ class TestAssemble:
         with pytest.raises(VerificationFailure):
             assemble(frags, manifest, receipts, ledger)
 
+    @pytest.mark.parametrize("gate", [assemble, workflow_module.run])
+    def test_anchored_slices_that_cannot_interleave_are_refused(self, gate):
+        # fragment 1's slice takes the first 2 bytes of fragment 2's, under a
+        # manifest of the moved slices' digests: each fragment verifies alone
+        manifest, frags = produce(b"x" * 40, 2, 2, ClassCode.I_B, KeyScheme.XOR_SPLIT,
+                                  PartitionStrategy.INTERLEAVE, rng=random.Random(1))
+        first, second = map(parse_fragment, frags)
+        slices = [first.slice + second.slice[:2], second.slice[2:]]
+        manifest = replace(manifest, slice_digests=tuple(map(sha256, slices)))
+        frags = [replace(f, slice=s).serialize() for f, s in zip((first, second), slices)]
+        ledger = Ledger(difficulty=4)
+        ledger.submit_anchor(manifest.digest(), *map(sha256, frags))
+        _, receipts = ledger.mine_block(now=1_700_000_000)
+        receipts = {r.target_digest: r for r in receipts}
+        assert all(s.ok for s in verify_fragments(frags, manifest, receipts, ledger))
+        with pytest.raises(VerificationFailure, match="slices cannot be reassembled"):
+            gate(frags, manifest, receipts, ledger)
+
     def test_unknown_method_rejected(self):
         manifest, frags, receipts, ledger = anchored_env()
         with pytest.raises(ValueError):
