@@ -97,7 +97,8 @@ class WorkspaceConfig:
             self.pending_path,
             self.config_path,
         ]
-        if len({p.resolve() for p in paths}) != len(paths):
+        # realpath, unlike Path.resolve, returns a symlink loop as is instead of raising
+        if len(set(map(os.path.realpath, paths))) != len(paths):
             raise click.UsageError("workspace paths must be distinct")
 
     @classmethod

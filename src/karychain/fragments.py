@@ -91,13 +91,21 @@ class TrailingDataError(FragmentError):
     pass
 
 
-def dep_indices(index: int, k: int, class_code: ClassCode) -> tuple[int, ...]:
-    """Indices whose slices a fragment's dep digests reference, in dep order."""
+def referenced(by_index: Sequence, index: int, class_code: ClassCode) -> Sequence:
+    """The entries of `by_index`, a sequence ordered by fragment index 1..k,
+    of the slices whose digests fragment `index` carries, in dep order: all
+    but its own under I_A, its successor's under I_C. Cut by slicing, so a
+    fragment costs no Python step per entry."""
     if class_code is ClassCode.I_A:
-        return (*range(1, index), *range(index + 1, k + 1))
-    if class_code is ClassCode.I_C and index < k:
-        return (index + 1,)
-    return ()
+        return by_index[: index - 1] + by_index[index:]
+    if class_code is ClassCode.I_C:
+        return by_index[index : index + 1]
+    return by_index[:0]
+
+
+def dep_count(index: int, k: int, class_code: ClassCode) -> int:
+    """How many dep digests fragment `index` of k carries under `class_code`."""
+    return len(referenced(bytes(k), index, class_code))  # k one-byte placeholders
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ class Fragment:
         if not isinstance(self.class_code, ClassCode):
             raise FragmentError(f"unknown class code {self.class_code!r}")
         object.__setattr__(self, "dep_digests", tuple(self.dep_digests))
-        expected = len(dep_indices(self.index, self.k, self.class_code))
+        expected = dep_count(self.index, self.k, self.class_code)
         if len(self.dep_digests) != expected:
             raise FragmentError(
                 f"fragment {self.index}/{self.k} class {self.class_code.name} "
@@ -205,17 +213,18 @@ def parse_fragment(data: bytes) -> Fragment:
     share_y = r.take_declared(share_len, "share")
     slice_len = struct.unpack(">I", r.take(4, "slice length"))[0]
     slice_bytes = r.take_declared(slice_len, "slice")
-    dep_count = r.take(1, "dep count")[0]
+    n_deps = r.take(1, "dep count")[0]
     remaining = len(data) - r.pos
     try:
-        dep_block = r.take_declared(DIGEST_LEN * dep_count, "dep digests")
+        dep_block = r.take_declared(DIGEST_LEN * n_deps, "dep digests")
     except LengthOverrunError:
         short = remaining // DIGEST_LEN
         raise LengthOverrunError(
             f"dep digest {short} declares {DIGEST_LEN} bytes but only "
             f"{remaining - DIGEST_LEN * short} remain"
         ) from None
-    deps = tuple(dep_block[i : i + DIGEST_LEN] for i in range(0, len(dep_block), DIGEST_LEN))
+    # one C call splits the block; struct keeps the compiled formats in its own bounded cache
+    deps = struct.unpack(f"{DIGEST_LEN}s" * n_deps, dep_block)
     if r.pos != len(data):
         raise TrailingDataError(f"{len(data) - r.pos} trailing bytes after fragment")
     return Fragment(
@@ -376,7 +385,7 @@ def _serialize_fragments(
     for i, (piece, share) in enumerate(zip(slices, shares), start=1):
         if share.x != i:
             raise ValueError(f"share abscissa {share.x} does not match fragment index {i}")
-        deps = tuple(digests[j - 1] for j in dep_indices(i, manifest.k, manifest.class_code))
+        deps = referenced(digests, i, manifest.class_code)
         fragment = Fragment(
             index=i,
             k=manifest.k,

@@ -14,11 +14,14 @@ clean. Only then is the key reconstructed (Neville by default, Lagrange as
 cross-check), the ciphertext reassembled, and the payload decrypted and
 digest-checked.
 
-The gate does work linear in k: it parses and hashes each fragment blob
-once and hands the parsed fragments on to key reconstruction, reassembly
-and activation (`run`), and it hashes each slice once
-(`Fragment.slice_digest` is cached), however many other fragments embed
-that slice's digest. Receipts come from a dict or a `ReceiptStore`.
+The gate parses and hashes each fragment blob once and hands the parsed
+fragments on to key reconstruction, reassembly and activation (`run`),
+and it hashes each slice once (`Fragment.slice_digest` is cached),
+however many other fragments embed that slice's digest. The dependency
+check compares each fragment's digests with the referenced slice digests
+as one tuple, so the k(k-1) digests of an I_A set take O(k) Python steps
+there; only a refusal's message looks up the first failing reference.
+Receipts come from a dict or a `ReceiptStore`.
 
 The large hashes go to `sha256_each` one batch at a time: the producer's
 slices, ciphertext and plaintext; the gate's blobs and their slices; the
@@ -61,9 +64,10 @@ from .fragments import (
     _serialize_fragments,
     build_fragments,  # noqa: F401  (karybench's tracer wraps it under this name)
     cache_slice_digests,
-    dep_indices,
+    dep_count,
     parse_fragment,
     partition_payload,
+    referenced,
     unpartition,
 )
 from .ledger import AnchorReceipt, Chain, ReceiptStore, VerifyResult
@@ -273,6 +277,7 @@ def verify_fragments(
             duplicates.add(frag.index)
         by_index[frag.index] = frag
     blob_digests = iter(cache_slice_digests(frags, frag_blobs))
+    digests = _slice_digests(by_index, manifest.k)
     statuses = []
     for position, (blob, frag) in enumerate(zip(fragment_blobs, parsed), start=1):
         if isinstance(frag, FragmentError):
@@ -300,7 +305,7 @@ def verify_fragments(
             1 <= frag.index <= manifest.k
             and frag.slice_digest == manifest.slice_digests[frag.index - 1]
         )
-        deps_ok = _unmet_dependency(frag, manifest, by_index) is None
+        deps_ok = _deps_met(frag, manifest, digests)
         statuses.append(
             FragmentStatus(
                 index=frag.index,
@@ -315,21 +320,33 @@ def verify_fragments(
     return statuses
 
 
+def _slice_digests(by_index: Mapping[int, Fragment], k: int) -> tuple[bytes | None, ...]:
+    """The slice digests of fragments 1..k in index order, None for an index
+    no fragment has: what `_deps_met` compares dependency digests against."""
+    return tuple(by_index[i].slice_digest if i in by_index else None for i in range(1, k + 1))
+
+
+def _deps_met(
+    frag: Fragment, manifest: PayloadManifest, digests: tuple[bytes | None, ...]
+) -> bool:
+    """Whether `frag` carries exactly the `_slice_digests` of the fragments
+    the manifest's class makes it depend on: the one check behind the gate's
+    `deps_ok` and each activation's re-check. One tuple comparison, so an
+    I_A fragment's k-1 digests cost no Python step each; a count other than
+    the manifest's class and k give, or an absent fragment (None), is unmet."""
+    return frag.dep_digests == referenced(digests, frag.index, manifest.class_code)
+
+
 def _unmet_dependency(
-    frag: Fragment, manifest: PayloadManifest, by_index: Mapping[int, Fragment]
-) -> str | None:
-    """The first of `frag`'s dependencies that does not hold, or None: the
-    one check behind the gate's `deps_ok` and each activation's re-check.
-    Carrying more or fewer dependency digests than the manifest's class and
-    k give is unmet too."""
-    refs = dep_indices(frag.index, manifest.k, manifest.class_code)
+    frag: Fragment, manifest: PayloadManifest, digests: tuple[bytes | None, ...]
+) -> str:
+    """Why `_deps_met` refused `frag`: its first dependency that does not
+    hold. Only a refusal's message needs it."""
+    refs = referenced(tuple(range(1, manifest.k + 1)), frag.index, manifest.class_code)
     if len(frag.dep_digests) != len(refs):
         return f"carries {len(frag.dep_digests)} dependency digests, not {len(refs)}"
-    for dep_digest, ref_index in zip(frag.dep_digests, refs):
-        referenced = by_index.get(ref_index)
-        if referenced is None or referenced.slice_digest != dep_digest:
-            return f"dependency on {ref_index} unsatisfied"
-    return None
+    unmet = (j for d, j in zip(frag.dep_digests, refs) if digests[j - 1] != d)
+    return f"dependency on {next(unmet)} unsatisfied"
 
 
 def _by_index(
@@ -520,10 +537,17 @@ def _run_action(frag: Fragment, actions: Mapping[int, ActionFn]) -> str | None:
 def _checked(by_index: Mapping[int, Fragment], manifest: PayloadManifest) -> Iterator[Fragment]:
     """Fragments 1..k in order, each yielded once it passes the gate's one
     dependency check; the first that fails raises DependencyCheckError."""
+    # fragment 1's count is 0 exactly when the class references no slice at
+    # this k: the check then reads no digest, and nothing is hashed for it;
+    # otherwise the slices not hashed yet are hashed here in one batch
+    digests: tuple[bytes | None, ...] = ()
+    if dep_count(1, manifest.k, manifest.class_code):
+        cache_slice_digests(list(by_index.values()))
+        digests = _slice_digests(by_index, manifest.k)
     for index in range(1, manifest.k + 1):
         frag = by_index[index]
-        unmet = _unmet_dependency(frag, manifest, by_index)
-        if unmet is not None:
+        if not _deps_met(frag, manifest, digests):
+            unmet = _unmet_dependency(frag, manifest, digests)
             raise DependencyCheckError(f"fragment {index} {unmet}", indices=[index])
         yield frag
 
@@ -534,10 +558,6 @@ def _execute_sequential(
     actions: Mapping[int, ActionFn],
     clock,
 ) -> list[ActivationEvent]:
-    # fragment 1's shape is empty exactly when the class references no slice at this k;
-    # otherwise the re-checks compare slice digests, hashed here in one batch
-    if dep_indices(1, manifest.k, manifest.class_code):
-        cache_slice_digests(list(by_index.values()))
     events = []
     for frag in _checked(by_index, manifest):  # each checked right before it runs
         start = next(clock)

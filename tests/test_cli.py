@@ -691,6 +691,24 @@ class TestWorkspaceConfig:
         assert "workspace paths must be distinct" in res.output
         assert sorted(p.name for p in root.iterdir()) == ["pending.json"]
 
+    def test_chain_file_in_a_symlink_loop(self, tmp_path):
+        """A workspace file that links to itself is an I/O error to the
+        commands that read it, and no obstacle to those that do not."""
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "ledger.jsonl").symlink_to("ledger.jsonl")
+        res = run_kary(root, "ledger", "validate")
+        assert res.returncode == 3, res.stderr
+        assert os.strerror(errno.ELOOP) in res.stderr
+        assert "Traceback" not in res.stderr
+        payload_path = tmp_path / "payload.bin"
+        payload_path.write_bytes(PAYLOAD)
+        res = run_kary(root, "--seed", "1", "split", str(payload_path), "-k", "2")
+        assert res.returncode == 0, res.stderr
+        assert sorted(p.name for p in (root / "fragments").iterdir()) == [
+            "frag_1.kary", "frag_2.kary", "manifest.kmanifest.json"
+        ]
+
 
 class TestDeterminism:
     def test_identical_seed_and_timestamp_reproduce_bytes(self, runner, tmp_path):

@@ -589,6 +589,139 @@ def test_execute_refuses_exactly_the_lowest_fragment_verify_reports_unmet(case):
     assert exc.value.indices == (min(unmet),)
 
 
+def _reference_unmet(frag, manifest, by_index):
+    """The per-digest rule the gate's dependency check must agree with: the
+    first of `frag`'s dependencies that does not hold, or None. Each
+    referenced slice is hashed here, not taken from the fragment's cache."""
+    i, k = frag.index, manifest.k
+    if manifest.class_code is ClassCode.I_A:
+        refs = [*range(1, i), *range(i + 1, k + 1)]
+    elif manifest.class_code is ClassCode.I_C and i < k:
+        refs = [i + 1]
+    else:
+        refs = []
+    if len(frag.dep_digests) != len(refs):
+        return f"carries {len(frag.dep_digests)} dependency digests, not {len(refs)}"
+    for dep_digest, ref_index in zip(frag.dep_digests, refs):
+        referenced = by_index.get(ref_index)
+        if referenced is None or sha256(referenced.slice) != dep_digest:
+            return f"dependency on {ref_index} unsatisfied"
+    return None
+
+
+class TestDependencyCheckAtK255:
+    """At k=255 the gate's one dependency check, and the refusal `execute`
+    raises, agree with the per-digest reference rule on sets that break it
+    at either end, in the middle, or all at once."""
+
+    PAYLOAD = random.Random(11).randbytes(4 << 10)
+
+    @pytest.fixture(scope="class", params=[ClassCode.I_A, ClassCode.I_C], ids=["I_A", "I_C"])
+    def split(self, request):
+        manifest, blobs = produce(self.PAYLOAD, 255, 128, request.param, KeyScheme.SHAMIR,
+                                  PartitionStrategy.CONTIGUOUS, rng=random.Random(12))
+        _, others = produce(self.PAYLOAD, 200, 100, request.param, KeyScheme.SHAMIR,
+                            PartitionStrategy.CONTIGUOUS, rng=random.Random(13))
+        return manifest, blobs, others
+
+    @staticmethod
+    def _mutated(split, mutation):
+        manifest, genuine, others = split
+        blobs = list(genuine)
+        if mutation.startswith("dep digest"):
+            # fragment f's dependency digest at position j; under I_C every
+            # fragment but the last carries one digest
+            f, j = {"first": (1, 0), "middle": (128, 126), "last": (254, 253)}[mutation[11:]]
+            frag = parse_fragment(blobs[f - 1])
+            deps = list(frag.dep_digests)
+            j = min(j, len(deps) - 1)
+            deps[j] = _flip(deps[j], 31)
+            blobs[f - 1] = replace(frag, dep_digests=tuple(deps)).serialize()
+        elif mutation == "slice":
+            frag = parse_fragment(blobs[127])
+            blobs[127] = replace(frag, slice=_flip(frag.slice, 0)).serialize()
+        elif mutation == "missing":
+            del blobs[127]
+        elif mutation == "duplicate":
+            # a second fragment 128, with another slice, after the genuine one
+            frag = parse_fragment(blobs[127])
+            blobs.append(replace(frag, slice=_flip(frag.slice, 0)).serialize())
+        else:  # fragments 100..150 of a split with k=200
+            blobs[99:150] = others[99:150]
+        return manifest, blobs
+
+    @pytest.mark.parametrize("mutation", [
+        "dep digest first", "dep digest middle", "dep digest last", "slice", "missing",
+        "duplicate", "other k",
+    ])
+    def test_gate_and_execute_agree_with_the_reference(self, split, mutation):
+        manifest, blobs = self._mutated(split, mutation)
+        parsed = [parse_fragment(b) for b in blobs]
+        by_index = {f.index: f for f in parsed}  # of several with one index, the last counts
+        expected = [_reference_unmet(f, manifest, by_index) is None for f in parsed]
+        assert not all(expected)
+        statuses = verify_fragments(blobs, manifest, {}, Ledger(difficulty=0))
+        assert [s.deps_ok for s in statuses] == expected
+        missing = sorted(set(range(1, 256)) - by_index.keys())
+        if missing:
+            with pytest.raises(ExecutionRefused) as refused:
+                execute(blobs, manifest)
+            assert refused.value.indices == tuple(missing)
+            return
+        first = min(i for i in by_index if _reference_unmet(by_index[i], manifest, by_index))
+        with pytest.raises(DependencyCheckError) as exc:
+            execute(blobs, manifest)
+        assert exc.value.indices == (first,)
+        assert str(exc.value) == f"fragment {first} " + _reference_unmet(
+            by_index[first], manifest, by_index
+        )
+
+
+class TestRefusedSetsLocateOnlyToRaise:
+    """On a refused k=255 I_A set the gate decides `deps_ok` from the check
+    alone; the first failing reference is located only for the
+    DependencyCheckError `execute` raises."""
+
+    @pytest.fixture
+    def located(self, monkeypatch):
+        calls = []
+        locate = workflow_module._unmet_dependency
+
+        def counting_locate(frag, *args):
+            calls.append(frag.index)
+            return locate(frag, *args)
+
+        monkeypatch.setattr(workflow_module, "_unmet_dependency", counting_locate)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def genuine(self):
+        return produce(TestDependencyCheckAtK255.PAYLOAD, 255, 128, ClassCode.I_A,
+                       KeyScheme.SHAMIR, PartitionStrategy.CONTIGUOUS, rng=random.Random(12))
+
+    def test_flipped_slice(self, genuine, located):
+        manifest, blobs = genuine
+        blobs = list(blobs)
+        frag = parse_fragment(blobs[127])
+        blobs[127] = replace(frag, slice=_flip(frag.slice, 0)).serialize()
+        statuses = verify_fragments(blobs, manifest, {}, Ledger(difficulty=0))
+        assert [s.index for s in statuses if not s.deps_ok] == [i for i in range(1, 256) if i != 128]
+        assert located == []
+        with pytest.raises(DependencyCheckError):
+            execute(blobs, manifest)
+        assert located == [1]
+
+    def test_missing_fragment(self, genuine, located):
+        manifest, blobs = genuine
+        blobs = [b for i, b in enumerate(blobs, start=1) if i != 128]
+        statuses = verify_fragments(blobs, manifest, {}, Ledger(difficulty=0))
+        assert not any(s.deps_ok for s in statuses)
+        assert located == []
+        with pytest.raises(ExecutionRefused):
+            execute(blobs, manifest)
+        assert located == []
+
+
 class TestRun:
     @pytest.mark.parametrize("class_code", list(ClassCode))
     def test_run_is_assemble_then_execute(self, class_code):
