@@ -408,7 +408,10 @@ def ledger_show(cfg: WorkspaceConfig) -> None:
     """Print one line per stored block, then the pool size; without a chain
     file, genesis only. The pool is read after the blocks are printed, so a
     torn one still shows the chain before it is refused."""
-    blocks = _chain(cfg).blocks if cfg.ledger_path.exists() else (GENESIS,)
+    try:
+        blocks = _chain(cfg).blocks
+    except FileNotFoundError:  # not any OSError: a symlink loop is an I/O error
+        blocks = (GENESIS,)
     for block in blocks:
         click.echo(
             f"height={block.height} hash={block_hash(block).hex()} "

@@ -479,11 +479,14 @@ class TestWorkspaceFootprint:
         assert (pending.read_bytes() if pending.exists() else None) == before
         assert root.exists() == queued
 
-    @pytest.mark.parametrize("state", ["no-dir", "empty-dir", "pool-only"])
+    @pytest.mark.parametrize("state", ["no-dir", "empty-dir", "dangling-link", "pool-only"])
     def test_ledger_show_without_a_chain_prints_genesis(self, tmp_path, state):
         root = tmp_path / "typo"
         if state == "empty-dir":
             root.mkdir()
+        elif state == "dangling-link":
+            root.mkdir()
+            (root / "ledger.jsonl").symlink_to("missing.jsonl")
         elif state == "pool-only":
             (tmp_path / "p.bin").write_bytes(PAYLOAD)
             assert run_kary(root, "anchor", str(tmp_path / "p.bin")).returncode == 0
@@ -697,10 +700,12 @@ class TestWorkspaceConfig:
         root = tmp_path / "ws"
         root.mkdir()
         (root / "ledger.jsonl").symlink_to("ledger.jsonl")
-        res = run_kary(root, "ledger", "validate")
-        assert res.returncode == 3, res.stderr
-        assert os.strerror(errno.ELOOP) in res.stderr
-        assert "Traceback" not in res.stderr
+        for command in ("validate", "show"):
+            res = run_kary(root, "ledger", command)
+            assert res.returncode == 3, res.stderr
+            assert os.strerror(errno.ELOOP) in res.stderr
+            assert "Traceback" not in res.stderr
+            assert res.stdout == ""
         payload_path = tmp_path / "payload.bin"
         payload_path.write_bytes(PAYLOAD)
         res = run_kary(root, "--seed", "1", "split", str(payload_path), "-k", "2")

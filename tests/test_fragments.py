@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from karychain.canonical import CanonicalJsonError
 from karychain.fragments import (
+    _BLOCK,
     BadMagicError,
     ClassCode,
     Fragment,
@@ -125,6 +126,41 @@ class TestPartition:
         for k in (1, 7, 16):
             for strategy in (CONTIG, ILEAVE):
                 assert unpartition(partition_payload(data, k, strategy), strategy) == data
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 17, 255])
+    @pytest.mark.parametrize("longest", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_interleave_across_block_edges(self, rng, k, longest):
+        # the first slice is `longest` bytes and the last k // 2 are one byte
+        # shorter, so a block edge and a short last block are both crossed
+        data = rng.randbytes(longest * k - k // 2)
+        slices = partition_payload(data, k, ILEAVE)
+        assert slices == [data[i::k] for i in range(k)]
+        assert len(slices[0]) == longest
+        assert unpartition(slices, ILEAVE) == data
+
+    @pytest.mark.parametrize("slices", [
+        [b"x" * 22, b"x" * 18],  # 2 bytes moved from one slice to its neighbour
+        [b"x" * 3, b"x" * 4, b"x" * 4],  # a short slice before a long one
+        [b"", b"xyz"],  # an empty slice beside a full one
+    ], ids=["moved", "short-first", "empty"])
+    def test_unpartition_refuses_lengths_that_cannot_interleave(self, slices):
+        with pytest.raises(ValueError, match="^slice lengths are inconsistent with "
+                                             "round-robin interleaving$"):
+            unpartition(slices, ILEAVE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=6))
+    def test_unpartition_accepts_the_lengths_a_strided_fill_accepts(self, lengths):
+        slices = [bytes([i]) * n for i, n in enumerate(lengths)]
+        k, out = len(slices), bytearray(sum(lengths))
+        try:  # the reference: byte j of the ciphertext is taken from slice j mod k
+            for i, piece in enumerate(slices):
+                out[i::k] = piece
+        except ValueError:
+            with pytest.raises(ValueError, match="round-robin"):
+                unpartition(slices, ILEAVE)
+        else:
+            assert unpartition(slices, ILEAVE) == out
 
 
 def random_fragment(rng):

@@ -749,6 +749,27 @@ class TestRun:
         assert exc.value.indices == (4,)
 
 
+class TestPartitionHooks:
+    """karybench's tracer times `fragments.partition_s` and
+    `fragments.unpartition_s` by wrapping these functions under their
+    workflow names, so `produce` and the gate must call them through those
+    names."""
+
+    def test_produce_partitions_once_and_assemble_unpartitions_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("partition_payload", "unpartition"):
+            def counted(*args, name=name, original=getattr(workflow_module, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(workflow_module, name, counted)
+        manifest, frags, receipts, ledger = anchored_env(strategy=PartitionStrategy.INTERLEAVE)
+        assert calls == {"partition_payload": 1}
+        payload, _ = assemble(frags, manifest, receipts, ledger)
+        assert payload == PAYLOAD
+        assert calls == {"partition_payload": 1, "unpartition": 1}
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_artifacts(self):
         runs = []
